@@ -27,7 +27,7 @@ from .localring import (
     mu_q_index,
     reduce_mod_m,
 )
-from .linalg import Mat, PrecisionExhaustedError, charpoly, det, mat_inv, synthetic_divide
+from .linalg import Mat, PrecisionExhaustedError, charpoly, deflate, det, mat_inv
 
 
 class RelationViolatedError(LocalFieldError):
@@ -189,9 +189,14 @@ def det_component(pt: DeformationPoint) -> ComponentLabel:
     """Component label of a relation point: Hensel-refine det(M_1) to the
     exact q-th root of unity it approximates and look it up among the
     powers of the fixed primitive root."""
+    return label_at_residual(pt, check_relation(pt))
+
+
+def label_at_residual(pt: DeformationPoint, residual) -> ComponentLabel:
+    """det_component of a point whose relation residual, as returned by
+    check_relation, is already known."""
     params = pt.params
     f = params.field
-    residual = check_relation(pt)
     if residual < f.tau:
         raise RelationViolatedError(
             f"relation residual {residual} below threshold {f.tau}")
@@ -331,13 +336,7 @@ def detect_eigenvalues(m1: Mat) -> dict[int, int]:
     cur = charpoly(m1)
     out = {}
     for j, lam in enumerate(enumerate_mu_q(f)):
-        mult = 0
-        while len(cur) > 1:
-            val = _eval_coeffs(cur, lam)
-            if val.valuation() < f.tau:
-                break
-            cur = synthetic_divide(cur, lam)
-            mult += 1
+        mult, cur = deflate(cur, lam, f.tau)
         if mult:
             out[j] = mult
     return out
@@ -353,10 +352,3 @@ def eigenvalues_by_rank_drop(m1: Mat) -> list[int]:
         if rank_at_threshold(shifted) < m1.n:
             out.append(j)
     return out
-
-
-def _eval_coeffs(coeffs, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc

@@ -1,10 +1,17 @@
-"""Matrix algebra over LocalElements.
+"""Matrix algebra over LocalElements and over polynomials in them.
+
+`Mat` is ring-generic: its entries are LocalElements or `Poly`s over one
+field, and products, powers, determinants and adjugates work the same way
+over both (in sums and products a LocalElement acts as a constant
+polynomial).  The path verifier uses it over `Poly` to check relations
+identically in t.
 
 Everything here is threshold-aware: rank, kernels and eigenspace stages
 refuse to guess when an elementary divisor lands in the ambiguity band
 [tau, N), and raise PrecisionExhaustedError instead.  Determinants expand
 division-free (memoized Laplace over column subsets), so they never consume
-precision; inverses go through the adjugate for the same reason.
+precision; inverses go through `adjugate` for the same reason, with one
+division by the determinant.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ class SingularMatrixError(NotInvertibleError):
 
 
 class Mat:
-    """Square matrix of LocalElements over one field."""
+    """Square matrix over one field, with entries in one ring over it:
+    LocalElements or Polys.  The entry ring is read off the entries."""
 
     __slots__ = ("field", "n", "rows")
 
@@ -91,14 +99,17 @@ class Mat:
     def __pow__(self, k: int):
         if k < 0:
             return mat_inv(self) ** (-k)
-        result = Mat.identity(self.field, self.n)
+        if k == 0:
+            return Mat.identity(self.field, self.n)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -127,6 +138,13 @@ class Mat:
     def min_entry_valuation(self):
         return min(e.valuation() for r in self.rows for e in r)
 
+    def _ring(self):
+        """(one, zero) of the entry ring."""
+        f = self.field
+        if self.n and isinstance(self.rows[0][0], Poly):
+            return Poly.const(f, f.one()), Poly.const(f, f.zero())
+        return f.one(), f.zero()
+
     def __repr__(self):
         return f"Mat(n={self.n}, field={self.field!r})"
 
@@ -140,43 +158,54 @@ class Mat:
 
 def _det_expand(rows, one, zero):
     """Division-free determinant: Laplace expansion by rows, memoized over
-    active-column bitmasks.  Works for any entries with ring operators and
-    an is_zero method (LocalElements, polynomials over them)."""
-    n = len(rows)
-    if n == 0:
-        return one
-    memo = {}
-
-    def rec(r, mask):
-        if r == n:
-            return one
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        total = None
-        sign = 1
-        m = mask
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            entry = rows[r][c]
-            if not entry.is_zero():
-                term = entry * rec(r + 1, mask ^ low)
-                if sign < 0:
-                    term = -term
-                total = term if total is None else total + term
-            sign = -sign
-            m &= m - 1
-        if total is None:
-            total = zero
-        memo[mask] = total
-        return total
-
-    return rec(0, (1 << n) - 1)
+    active-column bitmasks, for entries of either ring of `Mat`."""
+    return _det_minor(rows, 0, (1 << len(rows)) - 1, zero, {0: one})
 
 
-def det(M: Mat) -> LocalElement:
-    return _det_expand(M.rows, M.field.one(), M.field.zero())
+def _det_minor(rows, r, mask, zero, memo):
+    """Determinant of rows r.. restricted to the columns in mask.  A
+    module-level function, not a closure, so that no reference cycle keeps
+    the memo table alive after the expansion returns."""
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
+    total = None
+    sign = 1
+    m = mask
+    while m:
+        low = m & -m
+        c = low.bit_length() - 1
+        entry = rows[r][c]
+        if not entry.is_zero():
+            term = entry * _det_minor(rows, r + 1, mask ^ low, zero, memo)
+            if sign < 0:
+                term = -term
+            total = term if total is None else total + term
+        sign = -sign
+        m &= m - 1
+    if total is None:
+        total = zero
+    memo[mask] = total
+    return total
+
+
+def det(M: Mat):
+    return _det_expand(M.rows, *M._ring())
+
+
+def adjugate(M: Mat) -> Mat:
+    """Transposed cofactor matrix, so M * adjugate(M) = det(M) I; computed
+    division-free over either entry ring."""
+    n = M.n
+    one, zero = M._ring()
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[M.rows[r][c] for c in range(n) if c != j]
+                   for r in range(n) if r != i]
+            cof = _det_expand(sub, one, zero)
+            out[j][i] = -cof if (i + j) % 2 else cof
+    return Mat(M.field, out)
 
 
 def mat_inv(M: Mat) -> Mat:
@@ -185,20 +214,7 @@ def mat_inv(M: Mat) -> Mat:
     d = det(M)
     if d.is_zero():
         raise SingularMatrixError("singular at working precision")
-    dinv = d.inv()
-    n = M.n
-    if n == 1:
-        return Mat(M.field, [[dinv]])
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[M.rows[r][c] for c in range(n) if c != j]
-                   for r in range(n) if r != i]
-            cof = _det_expand(sub, M.field.one(), M.field.zero())
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof * dinv
-    return Mat(M.field, out)
+    return adjugate(M).scale(d.inv())
 
 
 class Poly:
@@ -228,6 +244,10 @@ class Poly:
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 
+    def valuation(self):
+        """Smallest coefficient valuation."""
+        return min(c.valuation() for c in self.coeffs)
+
     def coeff(self, k):
         return self.coeffs[k] if k < len(self.coeffs) else self.field.zero()
 
@@ -239,6 +259,8 @@ class Poly:
         return Poly(self.field, tuple(
             (self.coeffs[i] if i < la else z) + (other.coeffs[i] if i < lb else z)
             for i in range(max(la, lb))))
+
+    __radd__ = __add__
 
     def __neg__(self):
         return Poly(self.field, tuple(-c for c in self.coeffs))
@@ -260,11 +282,10 @@ class Poly:
                         out[i + j] = out[i + j] + a * b
         return Poly(self.field, tuple(out))
 
+    __rmul__ = __mul__
+
     def __call__(self, x: LocalElement) -> LocalElement:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def __eq__(self, other):
         return (self - other).is_zero()
@@ -286,10 +307,10 @@ def charpoly(M: Mat) -> tuple[LocalElement, ...]:
     """Coefficients (c_0,...,c_n) of det(xI - M), monic of degree n."""
     f = M.field
     one, zero = f.one(), f.zero()
-    rows = [[Poly(f, ((-M.rows[i][j]), one) if i == j else (-M.rows[i][j],))
-             for j in range(M.n)] for i in range(M.n)]
-    p = _det_expand(rows, Poly.const(f, one), Poly.const(f, zero))
-    coeffs = list(p.coeffs) + [zero] * (M.n + 1 - len(p.coeffs))
+    xi_m = Mat(f, [[Poly(f, ((-M.rows[i][j]), one) if i == j else (-M.rows[i][j],))
+                    for j in range(M.n)] for i in range(M.n)])
+    coeffs = list(det(xi_m).coeffs)
+    coeffs += [zero] * (M.n + 1 - len(coeffs))
     return tuple(coeffs[: M.n + 1])
 
 
@@ -313,24 +334,27 @@ def synthetic_divide(coeffs, lam):
     return tuple(out)
 
 
-def root_multiplicity(coeffs, lam, threshold) -> int:
-    """Multiplicity of lam as a root of the coefficient list, at threshold."""
-    count = 0
-    cur = coeffs
-    while len(cur) > 1:
-        val = _poly_eval(cur, lam).valuation()
-        if val < threshold:
-            break
-        count += 1
-        cur = synthetic_divide(cur, lam)
-    return count
-
-
-def _poly_eval(coeffs, x):
+def horner(coeffs, x):
+    """Value at x of the coefficient list (c_0,...,c_d)."""
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+def deflate(coeffs, lam, tau):
+    """(multiplicity, quotient): divide the coefficient list by (x - lam)
+    for as long as its value at lam vanishes at tau."""
+    mult = 0
+    while len(coeffs) > 1 and horner(coeffs, lam).valuation() >= tau:
+        coeffs = synthetic_divide(coeffs, lam)
+        mult += 1
+    return mult, coeffs
+
+
+def root_multiplicity(coeffs, lam, threshold) -> int:
+    """Multiplicity of lam as a root of the coefficient list, at threshold."""
+    return deflate(coeffs, lam, threshold)[0]
 
 
 # --- rank / kernels at a valuation threshold ---------------------------------

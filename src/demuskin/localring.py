@@ -115,24 +115,42 @@ def _polpow_mod(a, n, mod_coeffs, p):
 
 
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic poly over F_p via x^(p^d) == x tests."""
+    """Rabin's test for the monic f of degree deg = len(coeffs) over F_p:
+    x^(p^deg) = x mod f, and gcd(x^(p^(deg/l)) - x, f) = 1 for every prime
+    l dividing deg."""
     deg = len(coeffs)
-    x = [0, 1]
-    # x^(p^deg) must equal x mod f
-    acc = x
-    for _ in range(deg):
-        acc = _polpow_mod(acc, p, coeffs, p)
-    if acc != _polmul_mod(x, [1], coeffs, p):
-        return False
-    # and x^(p^(deg/l)) - x must be a unit gcd (no common factor) for prime l | deg
-    for ell in {d for d in range(2, deg + 1) if deg % d == 0 and is_prime(d)}:
-        acc = x
-        for _ in range(deg // ell):
+
+    def frobenius_minus_x(k):
+        acc = [0, 1]
+        for _ in range(k):
             acc = _polpow_mod(acc, p, coeffs, p)
-        diff = [(a - b) % p for a, b in zip(acc, _polmul_mod(x, [1], coeffs, p))]
-        if not any(diff):
-            return False
-    return True
+        acc[1] = (acc[1] - 1) % p
+        return acc
+
+    if any(frobenius_minus_x(deg)):
+        return False
+    monic = list(coeffs) + [1]
+    return all(_polgcd_is_one(frobenius_minus_x(deg // ell), monic, p)
+               for ell in range(2, deg + 1) if deg % ell == 0 and is_prime(ell))
+
+
+def _polgcd_is_one(a, b, p):
+    """Whether coefficient lists a and b (lowest degree first) are coprime
+    over F_p, by the Euclidean algorithm."""
+    def trim(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, k = a[-1] * inv, len(a) - len(b)
+            a = trim([x - c * b[i - k] if i >= k else x for i, x in enumerate(a)])
+        a, b = b, a
+    return len(a) == 1
 
 
 def _cyclotomic_shifted(p: int, q: int) -> list[int]:
@@ -744,14 +762,11 @@ def hensel_lift_unity(x0: LocalElement, q: int) -> LocalElement:
 
 def _snap_to_mu(x: LocalElement) -> LocalElement:
     """Replace a Newton limit of x^q = 1 by the exact stored root it
-    approximates.  The limit is pinned mod pi^(N - v(q)) only, so the match
-    is made at valuation N/2; if nothing matches, x is returned as is."""
-    f = x.field
-    half = f.N // 2
-    for r in enumerate_mu_q(f):
-        if x == r or (x - r).valuation() >= half:
-            return r
-    return x
+    approximates; if nothing matches, x is returned as is."""
+    try:
+        return enumerate_mu_q(x.field)[mu_q_index(x)]
+    except LocalFieldError:
+        return x
 
 
 def enumerate_mu_q(field: FieldDescriptor) -> tuple[LocalElement, ...]:
@@ -772,17 +787,12 @@ def mu_q_index(x: LocalElement) -> int:
     """Index j with x = zeta^j among the q-th roots of unity.
 
     Newton limits in O_F/pi^N pin a root of x^q = 1 only to N - v(q) digits,
-    so after the exact fast path the match is made at valuation >= N/2.
-    Distinct q-th roots differ at valuation <= phi(q) <= N/4, which keeps
-    the threshold unambiguous.
+    so the match is made at valuation >= N/2.  Distinct q-th roots differ at
+    valuation <= phi(q) <= N/4, so at most one root matches, and an exact
+    match is one of them.
     """
-    f = x.field
-    roots = enumerate_mu_q(f)
-    for j, r in enumerate(roots):
-        if x == r:
-            return j
-    half = f.N // 2
-    for j, r in enumerate(roots):
+    half = x.field.N // 2
+    for j, r in enumerate(enumerate_mu_q(x.field)):
         if (x - r).valuation() >= half:
             return j
     raise LocalFieldError("element does not match a q-th root of unity at precision")

@@ -14,7 +14,10 @@ component:
 
 Verification is a separate code path from construction: it re-derives
 everything from the stored segment data and reports per-segment,
-per-clause results (clauses a-e below).
+per-clause results (clauses a-e below).  A polynomial segment is checked
+as one `Mat` over `Poly` per slot: the relation word is expanded in t,
+with integral inverses from `adjugate` when the slot determinants are
+t-constant units.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .linalg import (
     Mat,
     Poly,
     PrecisionExhaustedError,
-    _det_expand,
+    adjugate,
     charpoly,
     det,
     generalized_eigenspace,
@@ -43,8 +46,8 @@ from .linalg import (
     iwasawa_decompose,
     kernel_basis_at_threshold,
     mat_inv,
+    needs_zeta_q_plus_1,
     rank_of_columns,
-    root_multiplicity,
     solve_in_span,
 )
 from .deformation import (
@@ -58,8 +61,8 @@ from .deformation import (
     det_component,
     detect_eigenvalues,
     is_in_V,
+    label_at_residual,
 )
-from .linalg import needs_zeta_q_plus_1
 
 
 class NotInVError(PreconditionError):
@@ -412,24 +415,19 @@ def normalize_and_cite(diag_pt: DeformationPoint, label: ComponentLabel) -> Path
             raise PreconditionError("input point must have identity partners")
     m1 = diag_pt.matrices[0]
     labels = []
-    mus = enumerate_mu_q(f)
     for i in range(n):
         for j in range(n):
             if i != j and m1.rows[i][j].valuation() < f.tau:
                 raise PreconditionError("first matrix is not diagonal at threshold")
-        entry = m1.rows[i][i]
-        matched = None
-        for k, mu in enumerate(mus):
-            if (entry - mu).valuation() >= f.N // 2:
-                matched = k
-                break
-        if matched is None:
+        try:
+            labels.append(mu_q_index(m1.rows[i][i]))
+        except LocalFieldError:
             raise PreconditionError(
-                "diagonal entries must be q-th roots of unity")
-        labels.append(matched)
+                "diagonal entries must be q-th roots of unity") from None
     total = sum(labels) % params.q
     if total != label.index:
         raise PreconditionError("label does not match the diagonal product")
+    mus = enumerate_mu_q(f)
 
     def diag_point(ks):
         entries = [mus[k] for k in ks]
@@ -512,7 +510,7 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
     rep.add(None, "b", residual >= tau,
             f"start relation residual {residual}")
     try:
-        start_label = det_component(cert.start)
+        start_label = label_at_residual(cert.start, residual)
         rep.add(None, "d", start_label == cert.label,
                 f"start label {start_label.index} vs stored {cert.label.index}")
     except LocalFieldError as exc:
@@ -574,23 +572,24 @@ def _verify_polynomial(rep, idx, seg, cur, cur_det, params):
         return cur, cur_det
     start = seg.eval(params, f.one())
     rep.add(idx, "c", start.eq_at(cur), "path at t=1 matches the chain")
-    d1 = _polymat_det(seg.slots[0], f)
-    others_identity = all(_is_identity_slot(slot, f) for slot in seg.slots[2:])
+    slots = [Mat(f, slot) for slot in seg.slots]
+    d1 = det(slots[0])
+    others_identity = all(s.is_identity() for s in slots[2:])
     if others_identity:
         # identity partners: the word collapses to the two-matrix relation,
         # checked in the inverse-free cleared form
-        residual = _relation_residual(params, seg.slots, None, True)
+        residual = _relation_residual(params, slots, None, True)
         rep.add(idx, "b", residual >= tau,
                 f"relation holds identically in t (residual {residual})")
     else:
         # general word: polynomial inverses via adjugates need every slot
         # determinant to be a t-constant unit
-        dets = [d1] + [_polymat_det(slot, f) for slot in seg.slots[1:]]
+        dets = [d1] + [det(s) for s in slots[1:]]
         if not all(_t_constant(d, tau) for d in dets):
             rep.add(idx, "b", False,
                     "slot determinant varies in t; no polynomial inverse")
             return cur, cur_det
-        residual = _relation_residual(params, seg.slots, dets, False)
+        residual = _relation_residual(params, slots, dets, False)
         rep.add(idx, "b", residual >= tau,
                 f"relation holds identically in t (residual {residual})")
     tail = min((c.valuation() for c in d1.coeffs[1:]), default=math.inf)
@@ -619,7 +618,7 @@ def _verify_cited(rep, idx, seg, cur, cur_det, params):
                 if i != j and m1.rows[i][j].valuation() < f.tau:
                     shape_ok = False
             try:
-                total += _mu_index_at(m1.rows[i][i], f)
+                total += mu_q_index(m1.rows[i][i])
             except LocalFieldError:
                 shape_ok = False
         prod[which] = total % max(params.q, 1)
@@ -630,101 +629,14 @@ def _verify_cited(rep, idx, seg, cur, cur_det, params):
     return seg.end, det(seg.end.matrices[0])
 
 
-def _mu_index_at(x, f):
-    for k, mu in enumerate(enumerate_mu_q(f)):
-        if (x - mu).valuation() >= f.N // 2:
-            return k
-    raise LocalFieldError("not a root of unity at half precision")
-
-
-# --- polynomial-matrix machinery for the verifier --------------------------------
-
-
-def _polymat_mul(a, b, f):
-    n = len(a)
-    zero = Poly.const(f, f.zero())
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                pa, pb = a[i][k], b[k][j]
-                if pa.is_zero() or pb.is_zero():
-                    continue
-                acc = acc + pa * pb
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _polymat_pow(a, k, f):
-    n = len(a)
-    result = _constant_identity_slot(f, n)
-    base = a
-    while k:
-        if k & 1:
-            result = _polymat_mul(result, base, f)
-        base = _polymat_mul(base, base, f) if k > 1 else base
-        k >>= 1
-    return result
-
-
-def _polymat_sub(a, b):
-    return tuple(tuple(pa - pb for pa, pb in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _polymat_det(slot, f):
-    return _det_expand(slot, Poly.const(f, f.one()), Poly.const(f, f.zero()))
-
-
-def _polymat_scale(a, x):
-    return tuple(tuple(p * x for p in row) for row in a)
-
-
-def _polymat_adjugate(slot, f):
-    n = len(slot)
-    if n == 1:
-        return ((Poly.const(f, f.one()),),)
-    out = [[None] * n for _ in range(n)]
-    one = Poly.const(f, f.one())
-    zero = Poly.const(f, f.zero())
-    for i in range(n):
-        for j in range(n):
-            sub = [[slot[r][c] for c in range(n) if c != j]
-                   for r in range(n) if r != i]
-            cof = _det_expand(sub, one, zero)
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof
-    return tuple(tuple(r) for r in out)
-
-
 def _t_constant(p: Poly, tau) -> bool:
     return all(c.valuation() >= tau for c in p.coeffs[1:]) \
         and p.coeff(0).valuation() == 0
 
 
-def _is_identity_slot(slot, f):
-    one = f.one()
-    for i, row in enumerate(slot):
-        for j, p in enumerate(row):
-            want = one if i == j else f.zero()
-            if not (p.coeff(0) - want).is_zero():
-                return False
-            if any(not c.is_zero() for c in p.coeffs[1:]):
-                return False
-    return True
-
-
-def _min_coeff_valuation(slot_diff):
-    return min((c.valuation() for row in slot_diff for p in row for c in p.coeffs),
-               default=math.inf)
-
-
 def _relation_residual(params, slots, dets01, others_identity):
     """Minimal coefficient valuation of the relation word minus identity,
-    as polynomials in t.
+    as polynomials in t, for slots given as `Mat`s over `Poly`.
 
     When every slot past the second is the constant identity, the word
     collapses to the two-matrix relation, which is checked in the cleared
@@ -733,38 +645,26 @@ def _relation_residual(params, slots, dets01, others_identity):
     forms without leaving the threshold, so they vanish at tau together.
     The general case expands the full word with adjugate inverses, whose
     integrality is guaranteed by the constant-unit determinants."""
-    f = params.field
     q = params.q
     if q == 1:
         return math.inf
     s1, s2 = slots[0], slots[1]
     if others_identity:
-        lhs = _polymat_mul(_polymat_pow(s1, q + 1, f), s2, f)
-        rhs = _polymat_mul(s2, s1, f)
-        return _min_coeff_valuation(_polymat_sub(lhs, rhs))
-    inv1 = _poly_inverse(s1, dets01[0], f)
-    inv2 = _poly_inverse(s2, dets01[1], f)
-    word = _polymat_mul(_polymat_pow(s1, q + 1, f), s2, f)
-    word = _polymat_mul(word, inv1, f)
-    word = _polymat_mul(word, inv2, f)
+        return (s1 ** (q + 1) * s2 - s2 * s1).min_entry_valuation()
+    word = s1 ** (q + 1) * s2 * _poly_inverse(s1, dets01[0]) \
+        * _poly_inverse(s2, dets01[1])
     for j in range(2, len(slots) // 2 + 1):
         a, b = slots[2 * j - 2], slots[2 * j - 1]
-        if _is_identity_slot(a, f) and _is_identity_slot(b, f):
+        if a.is_identity() and b.is_identity():
             continue
-        da = _polymat_det(a, f)
-        db = _polymat_det(b, f)
-        comm = _polymat_mul(_polymat_mul(a, b, f),
-                            _polymat_mul(_poly_inverse(a, da, f),
-                                         _poly_inverse(b, db, f), f), f)
-        word = _polymat_mul(word, comm, f)
-    ident = _constant_identity_slot(f, params.n)
-    return _min_coeff_valuation(_polymat_sub(word, ident))
+        word = word * ((a * b) * (_poly_inverse(a, det(a)) * _poly_inverse(b, det(b))))
+    return (word - Mat.identity(params.field, params.n)).min_entry_valuation()
 
 
-def _poly_inverse(slot, det_poly, f):
+def _poly_inverse(slot, det_poly):
     """Polynomial inverse via adjugate over the constant unit part of the
     determinant; integral whenever the slot is."""
     d0 = det_poly.coeff(0)
     if d0.valuation() != 0:
         raise PrecisionExhaustedError("slot determinant is not a unit")
-    return _polymat_scale(_polymat_adjugate(slot, f), d0.inv())
+    return adjugate(slot).scale(d0.inv())

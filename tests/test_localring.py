@@ -11,8 +11,10 @@ from demuskin.localring import (
     NotInvertibleError,
     SquareRootError,
     UnsupportedParametersError,
+    _poly_is_irreducible,
     arith,
     enumerate_mu_q,
+    find_irreducible_poly,
     hensel_lift_unity,
     hensel_sqrt,
     make_field,
@@ -218,6 +220,49 @@ class TestMuQ:
             assert mu_q_index(x) == j
         pi = f55.uniformizer()
         assert mu_q_index(mus[2] + pi ** (f55.N - 2)) == 2
+
+
+def _monic(p, deg):
+    """Every monic polynomial of the given degree over F_p, lowest
+    coefficient first."""
+    for code in range(p ** deg):
+        yield [(code // p ** i) % p for i in range(deg)] + [1]
+
+
+def _has_factor(f, p):
+    """Brute force: some monic g with 1 <= deg g <= deg f / 2 divides f."""
+    for dg in range(1, (len(f) - 1) // 2 + 1):
+        for g in _monic(p, dg):
+            r = list(f)
+            for k in range(len(r) - 1, dg - 1, -1):
+                c = r[k]
+                for i in range(dg + 1):
+                    r[k - dg + i] = (r[k - dg + i] - c * g[i]) % p
+            if not any(r):
+                return True
+    return False
+
+
+class TestIrreducible:
+    CASES = [(2, d) for d in range(2, 7)] + [(3, d) for d in range(2, 7)] \
+        + [(5, d) for d in range(2, 5)]
+
+    @pytest.mark.parametrize("p,deg", CASES)
+    def test_matches_trial_division(self, p, deg):
+        wrong = [f for f in _monic(p, deg)
+                 if _poly_is_irreducible(tuple(f[:-1]), p) == _has_factor(f, p)]
+        assert wrong == []
+
+    @pytest.mark.parametrize("p,deg", CASES)
+    def test_finds_smallest_irreducible(self, p, deg):
+        first = next(f for f in _monic(p, deg) if not _has_factor(f, p))
+        assert find_irreducible_poly(p, deg) == tuple(first[:-1])
+
+    def test_field_with_inertia_degree_three(self):
+        f = make_field(3, 3, 3, 16)
+        a = f.unramified_generator()
+        assert a * a.inv() == f.one()
+        assert reduce_mod_m(a) == 3
 
 
 class TestReduce:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from demuskin import deformation, paths
 from demuskin.localring import make_field
 from demuskin.deformation import DeformationParams, sample_point_on_V
 from demuskin.paths import (
@@ -11,18 +13,67 @@ from demuskin.paths import (
     verify_certificate,
 )
 
-
-@pytest.mark.parametrize("p,q,f0,n,N,d", [
+GRID = [
     (5, 5, 2, 2, 32, 4),
     (5, 5, 2, 3, 32, 4),
     (3, 3, 2, 2, 32, 2),
-])
-def test_certificate_verifies_and_roundtrips_through_json(p, q, f0, n, N, d):
+]
+
+# sha256 of json.dumps of the certificate and of its verification report on
+# each grid point.  Refactors must keep both byte-identical; change a pin
+# only together with a deliberate change of the certificate or report format.
+GOLDEN = {
+    (5, 5, 2, 2, 32, 4): (
+        "473e7319f307365ff7f8d4445e7c731b6b441bb945e011e325eb45058eb0eda4",
+        "ec4202b3e6b8273b0035c5fac0fd9ef3b0e0c11d74bc15a37192667e8b6b5056"),
+    (5, 5, 2, 3, 32, 4): (
+        "6b65278d472396af0808c5a6555157ebd3d82f311f2f8dd3cbfbca7eb6d46a4b",
+        "334d526fc9ab2fc183b78a6dfbdd70325ef93d3814115cc81aa2fe7e90324b1a"),
+    (3, 3, 2, 2, 32, 2): (
+        "9a8cdb3f1a542ff05c1bec57113deaa41ee1297cefd617ad83598435464f0f29",
+        "20ab0863bfc5826163d5aedfeaaa7a5d9a294c0f6b2b3e9cc14fc3afff46ffd4"),
+}
+
+
+def grid_certificate(p, q, f0, n, N, d):
     params = DeformationParams(make_field(p, q, f0, N), d=d, n=n)
     pt = sample_point_on_V(params, seed=2, eigenvalues=list(range(1, n + 1)))
-    cert = extend_to_canonical(connect_to_diagonal(pt))
+    return extend_to_canonical(connect_to_diagonal(pt))
+
+
+def sha256_json(blob):
+    return hashlib.sha256(json.dumps(blob).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p,q,f0,n,N,d", GRID)
+def test_certificate_verifies_and_roundtrips_through_json(p, q, f0, n, N, d):
+    cert = grid_certificate(p, q, f0, n, N, d)
     assert verify_certificate(cert).passed
     text = json.dumps(cert.to_json())
     back = PathCertificate.from_json(json.loads(text))
     assert verify_certificate(back).passed
     assert json.dumps(back.to_json()) == text
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_certificate_and_report_match_golden_digest(point):
+    cert = grid_certificate(*point)
+    got = (sha256_json(cert.to_json()), sha256_json(verify_certificate(cert).to_json()))
+    assert got == GOLDEN[point]
+
+
+def test_verifier_checks_each_relation_once(monkeypatch):
+    """The start point's relation is checked for clause b and reused for its
+    label; the end point's is checked for its label.  Nothing else."""
+    cert = grid_certificate(*GRID[1])
+    calls = []
+    original = deformation.check_relation
+
+    def counted(pt):
+        calls.append(pt)
+        return original(pt)
+
+    monkeypatch.setattr(deformation, "check_relation", counted)
+    monkeypatch.setattr(paths, "check_relation", counted)
+    assert verify_certificate(cert).passed
+    assert calls == [cert.start, cert.end]
