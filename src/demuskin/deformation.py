@@ -165,24 +165,35 @@ def label_for_index(field: FieldDescriptor, index: int) -> ComponentLabel:
     return ComponentLabel(index, enumerate_mu_q(field)[index])
 
 
-def check_relation(pt: DeformationPoint):
-    """Valuation of the relation residual: min entry valuation of the word
-    minus the identity.  math.inf means the relation holds on the nose at
-    working precision.  For q = 1 the relation is empty."""
-    params = pt.params
+def relation_residual(params: DeformationParams, mats):
+    """Min entry valuation of the relation word minus I, for `Mat`s over
+    LocalElements (a point) or over `Poly`s (a path, identically in t).
+    math.inf means the relation holds at working precision (always for q = 1).
+
+    With identity matrices past M_2 the word minus I is
+    (M_1^(q+1) M_2 - M_2 M_1) (M_2 M_1)^-1, and the cleared left factor is
+    used: it needs no inverse, and on points M_2 M_1 lies in GL_n(O_F)
+    (every M_i is congruent to I mod m), so both have the same valuation.
+    Otherwise the full word is built with `mat_inv`, skipping identity
+    pairs; over `Poly` that raises NotInvertibleError unless each inverted
+    determinant is a unit constant in t.
+    """
     q = params.q
     if q == 1:
         return math.inf
-    mats = pt.matrices
     m1, m2 = mats[0], mats[1]
+    if all(m.is_identity() for m in mats[2:]):
+        return (m1 ** (q + 1) * m2 - m2 * m1).min_entry_valuation()
     word = m1 ** (q + 1) * m2 * mat_inv(m1) * mat_inv(m2)
-    for j in range(2, len(mats) // 2 + 1):
-        a, b = mats[2 * j - 2], mats[2 * j - 1]
-        if a.is_identity() and b.is_identity():
-            continue
-        word = word * (a * b * mat_inv(a) * mat_inv(b))
-    res = word - Mat.identity(params.field, params.n)
-    return res.min_entry_valuation()
+    for a, b in zip(mats[2::2], mats[3::2]):
+        if not (a.is_identity() and b.is_identity()):
+            word = word * (a * b * mat_inv(a) * mat_inv(b))
+    return (word - Mat.identity(params.field, params.n)).min_entry_valuation()
+
+
+def check_relation(pt: DeformationPoint):
+    """relation_residual of a point."""
+    return relation_residual(pt.params, pt.matrices)
 
 
 def det_component(pt: DeformationPoint) -> ComponentLabel:

@@ -4,7 +4,9 @@
 field, and products, powers, determinants and adjugates work the same way
 over both (in sums and products a LocalElement acts as a constant
 polynomial).  The path verifier uses it over `Poly` to check relations
-identically in t.
+identically in t.  `Poly.inv` inverts a polynomial that is a unit
+constant in t at tau, so `mat_inv` works over `Poly` when the determinant
+is one; otherwise it raises NotInvertibleError.
 
 Everything here is threshold-aware: rank, kernels and eigenspace stages
 refuse to guess when an elementary divisor lands in the ambiguity band
@@ -273,16 +275,27 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, LocalElement):
             return Poly(self.field, tuple(c * other for c in self.coeffs))
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.field, tuple(out))
+        a = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        b = [(j, c) for j, c in enumerate(other.coeffs) if not c.is_zero()]
+        if not (a and b):
+            return Poly(self.field, ())
+        out = [self.field.zero()] * (a[-1][0] + b[-1][0] + 1)
+        for i, x in a:
+            for j, y in b:
+                out[i + j] = out[i + j] + x * y
+        return Poly(self.field, out)
 
     __rmul__ = __mul__
+
+    def inv(self):
+        """Inverse of a polynomial that is a unit constant at the field's
+        threshold tau: a unit c_0 plus t-terms at valuation >= tau, which
+        are dropped.  Anything else has no inverse among polynomials."""
+        c0 = self.coeffs[0]
+        if c0.valuation() != 0 or any(
+                c.valuation() < self.field.tau for c in self.coeffs[1:]):
+            raise NotInvertibleError("no polynomial inverse: not a unit constant in t")
+        return Poly.const(self.field, c0.inv())
 
     def __call__(self, x: LocalElement) -> LocalElement:
         return horner(self.coeffs, x)

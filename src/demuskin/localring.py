@@ -392,16 +392,10 @@ class FieldDescriptor:
         return x
 
     def _k_mul(self, x, y):
-        p, f0 = self.p, self.f0
-        if f0 == 1:
-            return ((x[0] * y[0]) % p,)
-        return tuple(_polmul_mod(list(x), list(y), list(self.unram), p))
+        return tuple(_polmul_mod(x, y, self.unram, self.p))
 
     def _k_inv(self, x):
-        p, f0 = self.p, self.f0
-        if f0 == 1:
-            return (pow(x[0], p - 2, p),)
-        return tuple(_polpow_mod(list(x), p ** f0 - 2, list(self.unram), p))
+        return tuple(_polpow_mod(x, self.p ** self.f0 - 2, self.unram, self.p))
 
     def _dig_inv(self, u):
         """Inverse of a unit digit vector, exact in O_F/pi^Nint."""
@@ -747,17 +741,22 @@ def hensel_lift_unity(x0: LocalElement, q: int) -> LocalElement:
         raise HenselBasinError("start value is not a unit")
     if q == 1:
         return f.one()
-    qe = f.from_int(q)
-    cap = math.ceil(math.log2(f.N)) + 3
-    x = x0
-    for _ in range(cap):
-        r = x ** q - 1
+    return _snap_to_mu(_newton_unity(x0, q, "outside the Newton basin for x^q = 1"))
+
+
+def _newton_unity(x: LocalElement, m: int, failure: str) -> LocalElement:
+    """Newton iteration x <- x - (x^m - 1)/(m x^(m-1)) from the unit x until
+    x^m = 1 at working precision; HenselBasinError(failure) when x leaves the
+    units or the iteration does not converge."""
+    me = x.field.from_int(m)
+    for _ in range(math.ceil(math.log2(x.field.N)) + 3):
+        r = x ** m - 1
         if r.is_zero():
-            return _snap_to_mu(x)
-        x = x - r / (qe * x ** (q - 1))
+            return x
+        x = x - r / (me * x ** (m - 1))
         if x.valuation() != 0:
             break
-    raise HenselBasinError("outside the Newton basin for x^q = 1")
+    raise HenselBasinError(failure)
 
 
 def _snap_to_mu(x: LocalElement) -> LocalElement:
@@ -808,8 +807,7 @@ def reduce_mod_m(x: LocalElement) -> int:
         raise NotIntegralError("element has a pole")
     if v > 0:
         return 0
-    digits = x.digits if x.shift == 0 else f._dig_strip(x.digits, -x.shift)
-    return sum((digits[j] % f.p) * f.p ** j for j in range(f.f0))
+    return sum((x.digits[j] % f.p) * f.p ** j for j in range(f.f0))
 
 
 def zeta_tame(field: FieldDescriptor, m: int) -> LocalElement:
@@ -825,7 +823,7 @@ def zeta_tame(field: FieldDescriptor, m: int) -> LocalElement:
     target = None
     for code in range(2, p ** f0):
         cand = tuple((code // p ** i) % p for i in range(f0))
-        r = _k_pow_field(field, cand, order // m)
+        r = tuple(_polpow_mod(cand, order // m, field.unram, p))
         if _k_order(field, r) == m:
             target = r
             break
@@ -834,26 +832,8 @@ def zeta_tame(field: FieldDescriptor, m: int) -> LocalElement:
     d = [0] * (field.e * f0)
     for j in range(f0):
         d[j] = target[j]
-    x = field.element(0, tuple(d))
-    me = field.from_int(m)
-    cap = math.ceil(math.log2(field.N)) + 3
-    for _ in range(cap):
-        r = x ** m - 1
-        if r.is_zero():
-            return x
-        x = x - r / (me * x ** (m - 1))
-    raise HenselBasinError("tame root lift did not converge")
-
-
-def _k_pow_field(field, x, n):
-    out = tuple((1 if j == 0 else 0) for j in range(field.f0))
-    base = x
-    while n:
-        if n & 1:
-            out = field._k_mul(out, base)
-        base = field._k_mul(base, base)
-        n >>= 1
-    return out
+    return _newton_unity(field.element(0, tuple(d)), m,
+                         "tame root lift did not converge")
 
 
 def _k_order(field, x):
@@ -879,8 +859,7 @@ def hensel_sqrt(x: LocalElement) -> LocalElement:
     v = x.valuation()
     if v % 2:
         raise SquareRootError("odd valuation has no square root in F")
-    udig = x.digits if x.shift == v else f._dig_strip(x.digits, v - x.shift)
-    res = tuple(udig[j] % f.p for j in range(f.f0))
+    res = tuple(x.digits[j] % f.p for j in range(f.f0))
     root = None
     for code in range(1, f.p ** f.f0):
         cand = tuple((code // f.p ** i) % f.p for i in range(f.f0))
@@ -892,7 +871,7 @@ def hensel_sqrt(x: LocalElement) -> LocalElement:
     d = [0] * (f.e * f.f0)
     for j in range(f.f0):
         d[j] = root[j]
-    u = LocalElement(f, 0, udig)
+    u = LocalElement(f, 0, x.digits)
     z = f.element(0, tuple(d))
     if f._inv2 is None:
         f._inv2 = f.from_int(2).inv()

@@ -15,9 +15,13 @@ component:
 Verification is a separate code path from construction: it re-derives
 everything from the stored segment data and reports per-segment,
 per-clause results (clauses a-e below).  A polynomial segment is checked
-as one `Mat` over `Poly` per slot: the relation word is expanded in t,
-with integral inverses from `adjugate` when the slot determinants are
-t-constant units.
+as one `Mat` over `Poly` per slot by `relation_residual`, the function
+that checks points.  With identity slots past M_2 it reads the cleared
+form M_1^(q+1) M_2 - M_2 M_1, which needs no inverse: the contract
+segment's M_2(t) = diag(1 + t m_i) has a determinant that varies in t and
+no inverse over O_F[t].  Otherwise it expands the full word in t with
+`mat_inv`, which needs every inverted slot's determinant to be a unit
+constant in t.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from .localring import (
     LocalElement,
     LocalFieldError,
+    NotInvertibleError,
     SquareRootError,
     enumerate_mu_q,
     hensel_sqrt,
@@ -37,8 +42,6 @@ from .localring import (
 from .linalg import (
     Mat,
     Poly,
-    PrecisionExhaustedError,
-    adjugate,
     charpoly,
     det,
     generalized_eigenspace,
@@ -62,6 +65,7 @@ from .deformation import (
     detect_eigenvalues,
     is_in_V,
     label_at_residual,
+    relation_residual,
 )
 
 
@@ -573,25 +577,15 @@ def _verify_polynomial(rep, idx, seg, cur, cur_det, params):
     start = seg.eval(params, f.one())
     rep.add(idx, "c", start.eq_at(cur), "path at t=1 matches the chain")
     slots = [Mat(f, slot) for slot in seg.slots]
+    try:
+        residual = relation_residual(params, slots)
+    except NotInvertibleError:
+        rep.add(idx, "b", False,
+                "slot determinant varies in t; no polynomial inverse")
+        return cur, cur_det
+    rep.add(idx, "b", residual >= tau,
+            f"relation holds identically in t (residual {residual})")
     d1 = det(slots[0])
-    others_identity = all(s.is_identity() for s in slots[2:])
-    if others_identity:
-        # identity partners: the word collapses to the two-matrix relation,
-        # checked in the inverse-free cleared form
-        residual = _relation_residual(params, slots, None, True)
-        rep.add(idx, "b", residual >= tau,
-                f"relation holds identically in t (residual {residual})")
-    else:
-        # general word: polynomial inverses via adjugates need every slot
-        # determinant to be a t-constant unit
-        dets = [d1] + [det(s) for s in slots[1:]]
-        if not all(_t_constant(d, tau) for d in dets):
-            rep.add(idx, "b", False,
-                    "slot determinant varies in t; no polynomial inverse")
-            return cur, cur_det
-        residual = _relation_residual(params, slots, dets, False)
-        rep.add(idx, "b", residual >= tau,
-                f"relation holds identically in t (residual {residual})")
     tail = min((c.valuation() for c in d1.coeffs[1:]), default=math.inf)
     rep.add(idx, "d", tail >= tau, "det(M_1) degree zero in t")
     rep.add(idx, "d", (d1.coeff(0) - cur_det).valuation() >= tau,
@@ -627,44 +621,3 @@ def _verify_cited(rep, idx, seg, cur, cur_det, params):
         rep.add(idx, "e", prod[0] == prod[1], "label product preserved")
     rep.add(idx, "c", seg.start.eq_at(cur), "cited start matches the chain")
     return seg.end, det(seg.end.matrices[0])
-
-
-def _t_constant(p: Poly, tau) -> bool:
-    return all(c.valuation() >= tau for c in p.coeffs[1:]) \
-        and p.coeff(0).valuation() == 0
-
-
-def _relation_residual(params, slots, dets01, others_identity):
-    """Minimal coefficient valuation of the relation word minus identity,
-    as polynomials in t, for slots given as `Mat`s over `Poly`.
-
-    When every slot past the second is the constant identity, the word
-    collapses to the two-matrix relation, which is checked in the cleared
-    form S1^(q+1) S2 - S2 S1: multiplying by the integral polynomial matrix
-    S2 S1 (or by the integral adjugate-based inverses) moves between the two
-    forms without leaving the threshold, so they vanish at tau together.
-    The general case expands the full word with adjugate inverses, whose
-    integrality is guaranteed by the constant-unit determinants."""
-    q = params.q
-    if q == 1:
-        return math.inf
-    s1, s2 = slots[0], slots[1]
-    if others_identity:
-        return (s1 ** (q + 1) * s2 - s2 * s1).min_entry_valuation()
-    word = s1 ** (q + 1) * s2 * _poly_inverse(s1, dets01[0]) \
-        * _poly_inverse(s2, dets01[1])
-    for j in range(2, len(slots) // 2 + 1):
-        a, b = slots[2 * j - 2], slots[2 * j - 1]
-        if a.is_identity() and b.is_identity():
-            continue
-        word = word * ((a * b) * (_poly_inverse(a, det(a)) * _poly_inverse(b, det(b))))
-    return (word - Mat.identity(params.field, params.n)).min_entry_valuation()
-
-
-def _poly_inverse(slot, det_poly):
-    """Polynomial inverse via adjugate over the constant unit part of the
-    determinant; integral whenever the slot is."""
-    d0 = det_poly.coeff(0)
-    if d0.valuation() != 0:
-        raise PrecisionExhaustedError("slot determinant is not a unit")
-    return adjugate(slot).scale(d0.inv())

@@ -1,8 +1,10 @@
 """pyproject.toml declares only what the package has."""
 
+import ast
 import importlib
 import pathlib
 import re
+import sys
 import tomllib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -24,3 +26,27 @@ def test_every_dependency_is_imported():
         name = re.match(r"[A-Za-z0-9_.-]+", dep).group(0).replace("-", "_")
         assert re.search(rf"^\s*(import|from) {name}\b", source, re.M), \
             f"dependency {dep!r} is never imported"
+
+
+def requirement_name(req):
+    return re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+
+
+def test_every_test_import_is_declared():
+    """Each non-stdlib top-level module that a test suite imports is either
+    local (the package, or a module next to the tests) or in the test extra."""
+    suites = sorted((ROOT / "tests").glob("*.py")) + [ROOT / "perfbench" / "test_perfbench.py"]
+    local = {"demuskin"} | {p.stem for d in ("tests", "perfbench")
+                            for p in (ROOT / d).glob("*.py")}
+    declared = {requirement_name(r) for r in PROJECT["optional-dependencies"]["test"]}
+    for path in suites:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for top in {m.partition(".")[0] for m in modules}:
+                assert top in sys.stdlib_module_names or top in local or top in declared, \
+                    f"{path.name} imports {top!r}, which the test extra does not declare"
