@@ -131,12 +131,6 @@ class Mat:
         return all((e - one).is_zero() if i == j else e.is_zero()
                    for i, r in enumerate(self.rows) for j, e in enumerate(r))
 
-    def transpose(self):
-        return Mat(self.field, list(zip(*self.rows)))
-
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def min_entry_valuation(self):
         return min(e.valuation() for r in self.rows for e in r)
 

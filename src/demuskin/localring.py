@@ -24,6 +24,7 @@ which keeps a single code path.
 from __future__ import annotations
 
 import math
+import weakref
 
 
 class LocalFieldError(Exception):
@@ -62,11 +63,18 @@ def is_prime(n: int) -> bool:
 
 
 def _vp_int(c: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, by descent over p^(2^j):
+    square p while the square still divides c, then divide back down."""
+    if c % p:
+        return 0
+    pows = [p]
+    while c % (sq := pows[-1] * pows[-1]) == 0:
+        pows.append(sq)
     v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
+    for j in range(len(pows) - 1, -1, -1):
+        if c % pows[j] == 0:
+            c //= pows[j]
+            v += 1 << j
     return v
 
 
@@ -180,29 +188,33 @@ class FieldDescriptor:
 
     Internally every digit vector lives in O_F/pi^Nint with Nint = 2N: the
     upper band is a guard, and the integer coefficients are kept modulo
-    pM = p^(2M), which matches pi^Nint.  Stripping a valuation into the shift
-    divides the digits by a power of pi, which commits to one of several
-    lifts; the arbitrary part of that choice stays inside the guard band for
-    the strip depths this package performs, so everything at or below N (and
-    in particular at the threshold tau) is reliable.  All published semantics
+    pM = p^(2M), which matches pi^Nint.  Stripping a valuation v into the
+    shift divides the digits by pi^v, which commits to one of several lifts:
+    the quotient's digits below relative depth Nint - v are exact, and only
+    those from that depth upward are a choice.  All published semantics
     (valuation, equality, zero-ness, serialization) are at precision N.
+
+    make_field returns one shared descriptor per parameter set, so fields
+    compare by identity first.
     """
 
     __slots__ = ("p", "q", "f0", "e", "N", "Nint", "M", "pM", "tau", "unram",
                  "eis", "_pired", "_ured", "_u0inv", "_mu_cache", "_one",
-                 "_zero", "_inv2", "_slot_bytes", "_stride", "_zbytes")
+                 "_zero", "_inv2", "_winv", "_slot_bytes", "_stride", "_zbytes",
+                 "__weakref__")
 
-    def __init__(self, p, q, f0, N, tau=None):
+    def __init__(self, p, q, f0, N, tau):
+        """Takes the parameters as make_field normalizes them: N a multiple
+        of e, tau resolved."""
         self.p = p
         self.q = q
         self.f0 = f0
         self.e = (q - q // p) if q >= 3 else 1
-        m = -(-N // self.e)
-        self.N = self.e * m
-        self.Nint = 2 * self.N
-        self.M = m
-        self.pM = p ** (2 * m)
-        self.tau = tau if tau is not None else -(-3 * self.N // 4)
+        self.N = N
+        self.Nint = 2 * N
+        self.M = N // self.e
+        self.pM = p ** (2 * self.M)
+        self.tau = tau
         self.unram = find_irreducible_poly(p, f0)
         if q >= 3:
             self.eis = tuple(_cyclotomic_shifted(p, q)[: self.e])
@@ -213,6 +225,7 @@ class FieldDescriptor:
         self._zero = LocalElement(self, 0, (0,) * (self.e * f0))
         self._one = self.from_int(1)
         self._inv2 = None
+        self._winv = None
 
     def _precompute(self):
         e, f0 = self.e, self.f0
@@ -381,15 +394,45 @@ class FieldDescriptor:
         return tuple(z)
 
     def _dig_strip(self, x, v):
-        """Divide a digit vector of valuation >= v by pi^v, exactly.
+        """Divide a digit vector of valuation >= v by pi^v, exact below
+        relative depth Nint - v.
 
-        Repeated single-pi solves: dividing the integer coefficients by p
-        would be off by a unit, since pi^e is p times a ring unit, not p
-        times a scalar.
+        pi^e = p*w with w the unit -sum(eis_i/p * pi^i), so with
+        a, b = divmod(v, e) the quotient is b single-pi solves, then an
+        exact division of every integer coefficient by p^a, then a multiply
+        by w^(-a), one packed multiply per set bit of a.  The integer
+        division leaves the top a p-digits zero: that is the lift choice.
         """
-        for _ in range(v):
+        a, b = divmod(v, self.e)
+        for _ in range(b):
             x = self._dig_div_pi(x)
+        if a:
+            pa = self.p ** a
+            if any(c % pa for c in x):
+                raise NotIntegralError("digit vector not divisible by the uniformizer")
+            x = tuple(c // pa for c in x)
+            if self.e > 1:  # for q = 1, pi = p and w = 1
+                for wk in self._winv_powers():
+                    if a & 1:
+                        x = self._dig_mul_packed(self._pack(x), wk)
+                    a >>= 1
+                    if not a:
+                        break
         return x
+
+    def _winv_powers(self):
+        """Packed w^(-2^j) for 2^j < 2M, where pi^e = p*w; built once."""
+        if self._winv is None:
+            w = [0] * (self.e * self.f0)
+            for i in range(self.e):
+                w[i * self.f0] = (-self.eis[i] // self.p) % self.pM
+            z = self._dig_inv(tuple(w))
+            out = [self._pack(z)]
+            while 1 << len(out) < 2 * self.M:
+                z = self._dig_mul(z, z)
+                out.append(self._pack(z))
+            self._winv = tuple(out)
+        return self._winv
 
     def _k_mul(self, x, y):
         return tuple(_polmul_mod(x, y, self.unram, self.p))
@@ -426,10 +469,10 @@ class FieldDescriptor:
     def element(self, shift, digits):
         """Normalized element pi^shift * digits: the digit valuation is
         stripped into the shift, so nonzero digit vectors are units and the
-        shift is the exact valuation.  (The strip's arbitrary lift choice
-        lands in the guard band.)  A vanished digit vector at negative shift
-        keeps the shift, recording that the value is only known to vanish
-        mod pi^(shift+Nint)."""
+        shift is the exact valuation.  (A strip of depth v leaves the digits
+        below relative depth Nint - v exact.)  A vanished digit vector at
+        negative shift keeps the shift, recording that the value is only
+        known to vanish mod pi^(shift+Nint)."""
         v = self._dig_val(digits)
         if v is None:
             return self._zero if shift >= 0 else LocalElement(self, shift, digits)
@@ -602,7 +645,7 @@ class LocalElement:
             other = _coerce(self.field, other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             return False
         return (self - other).is_zero()
 
@@ -642,7 +685,7 @@ class LocalElement:
 
 def _coerce(field, x):
     if isinstance(x, LocalElement):
-        if x.field != field:
+        if x.field is not field and x.field != field:
             raise ValueError("elements from different fields")
         return x
     if isinstance(x, int):
@@ -684,12 +727,19 @@ def _shift_up(field, digits, k):
 # --- public operations -------------------------------------------------------
 
 
+_FIELDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def make_field(p: int, q: int, f0: int = 1, N: int = 32, tau=None) -> FieldDescriptor:
-    """Build the working ring O_F for F = Q_{p^f0}(zeta_q) at precision N.
+    """The working ring O_F for F = Q_{p^f0}(zeta_q) at precision N.
 
     q must be 1 or a power of p that is at least 3 (q = 2 is rejected).
     N is counted in uniformizer digits and is rounded up to a multiple of
     the ramification index; it must be at least 4*max(1, phi(q)).
+
+    Returns the shared field of the normalized parameters (p, q, f0, N
+    rounded up, tau resolved): while one such field is alive, every call
+    with the same parameters returns that object, caches included.
     """
     if not is_prime(p):
         raise UnsupportedParametersError(f"p = {p} is not prime")
@@ -707,7 +757,12 @@ def make_field(p: int, q: int, f0: int = 1, N: int = 32, tau=None) -> FieldDescr
     e = (q - q // p) if q >= 3 else 1
     if N < 4 * max(1, e):
         raise UnsupportedParametersError(f"precision N = {N} below the minimum {4 * max(1, e)}")
-    return FieldDescriptor(p, q, f0, N, tau=tau)
+    N = e * -(-N // e)
+    key = (p, q, f0, N, tau if tau is not None else -(-3 * N // 4))
+    field = _FIELDS.get(key)
+    if field is None:
+        field = _FIELDS[key] = FieldDescriptor(*key)
+    return field
 
 
 def arith(op: str, x: LocalElement, y: LocalElement | None = None) -> LocalElement:

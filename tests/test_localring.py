@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demuskin.localring import (
     FieldDescriptor,
@@ -11,7 +12,10 @@ from demuskin.localring import (
     NotInvertibleError,
     SquareRootError,
     UnsupportedParametersError,
+    _mask_digits,
     _poly_is_irreducible,
+    _shift_up,
+    _vp_int,
     arith,
     enumerate_mu_q,
     find_irreducible_poly,
@@ -79,6 +83,14 @@ class TestMakeField:
         blob = f33.to_json()
         g = FieldDescriptor(blob["p"], blob["q"], blob["f0"], blob["N"], tau=blob["tau"])
         assert g == f33
+
+    def test_one_field_per_parameter_set(self):
+        f = make_field(5, 5, 2, 32)
+        assert make_field(5, 5, 2, 30) is f
+        assert make_field(5, 5, 2, 32, tau=f.tau) is f
+        g = make_field(5, 5, 2, 32, tau=f.tau + 1)
+        assert g is not f and g != f
+        assert g.tau == f.tau + 1
 
 
 class TestArith:
@@ -331,3 +343,60 @@ class TestSerialization:
         blob = f33.zeta().to_json()
         assert blob["shift"] == 0
         assert all(isinstance(s, str) for s in blob["digits"])
+
+
+STRIP_FIELDS = [make_field(5, 5, 2, 32), make_field(3, 9, 2, 36), make_field(7, 7, 1, 24),
+                make_field(3, 3, 3, 16), make_field(7, 1, 2, 16)]
+STRIP_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def field_ids(f):
+    return f"p{f.p}q{f.q}f{f.f0}N{f.N}"
+
+
+@st.composite
+def unit_and_depth(draw, f, lowest=0):
+    """A unit digit vector of f and a depth v in [lowest, Nint)."""
+    u = draw(st.lists(st.integers(0, f.pM - 1), min_size=f.e * f.f0,
+                      max_size=f.e * f.f0))
+    if not any(c % f.p for c in u[:f.f0]):
+        u[0] += 1
+    return tuple(u), draw(st.integers(lowest, f.Nint - 1))
+
+
+def vp_by_division(c, p):
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+class TestStrip:
+    @pytest.mark.parametrize("f", STRIP_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_strip_undoes_shift_below_known_depth(self, f, data):
+        u, v = data.draw(unit_and_depth(f))
+        x = _shift_up(f, u, v)
+        got = f._dig_strip(x, v)
+        by_pi = x
+        for _ in range(v):
+            by_pi = f._dig_div_pi(by_pi)
+        known = f.Nint - v
+        assert _mask_digits(f, got, known) == _mask_digits(f, u, known)
+        assert _mask_digits(f, got, known) == _mask_digits(f, by_pi, known)
+
+    @pytest.mark.parametrize("f", STRIP_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_strip_past_the_valuation_raises(self, f, data):
+        u, v = data.draw(unit_and_depth(f, lowest=1))
+        with pytest.raises(NotIntegralError):
+            f._dig_strip(_shift_up(f, u, v - 1), v)
+
+    @STRIP_SETTINGS
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 300), st.integers(1, 10 ** 40))
+    def test_vp_int_matches_division_loop(self, p, k, m):
+        c = p ** k * m
+        assert _vp_int(c, p) == vp_by_division(c, p)

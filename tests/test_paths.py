@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -77,3 +78,23 @@ def test_verifier_checks_each_relation_once(monkeypatch):
     monkeypatch.setattr(paths, "check_relation", counted)
     assert verify_certificate(cert).passed
     assert calls == [cert.start, cert.end]
+
+
+def test_parsed_certificate_shares_the_builders_field():
+    cert = grid_certificate(*GRID[0])
+    back = PathCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert back.start.params.field is cert.start.params.field
+    assert back.end.params.field is cert.start.params.field
+
+
+def test_parse_and_verify_leave_no_cyclic_garbage():
+    """Parsing reuses the live field, so it builds no new field (and with it
+    no field <-> cached element cycle) for the cyclic collector to free."""
+    text = json.dumps(grid_certificate(*GRID[0]).to_json())
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify_certificate(PathCertificate.from_json(json.loads(text))).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
