@@ -507,18 +507,11 @@ class Filtration:
             if min(x.valuation() for x in v) != 0:
                 raise ValueError("filtration vectors must be unimodular")
 
-    def stage(self, i):
-        """Vectors spanning stage i (1-based)."""
-        return self.vectors[: self.shape[i - 1]]
-
     def dimension(self):
         return self.shape[-1] if self.shape else 0
 
-    def depth(self):
-        return len(self.shape)
 
-
-def generalized_eigenspace(M: Mat, lam: LocalElement, cap: int | None = None) -> Filtration:
+def generalized_eigenspace(M: Mat, lam: LocalElement) -> Filtration:
     """The flag ker(M-lam) in ker(M-lam)^2 in ... up to stabilization.
 
     The top dimension is cross-checked against the multiplicity of lam in
@@ -527,12 +520,11 @@ def generalized_eigenspace(M: Mat, lam: LocalElement, cap: int | None = None) ->
     """
     f = M.field
     n = M.n
-    cap = cap if cap is not None else n
     A = M - Mat.identity(f, n).scale(lam)
     vectors = []
     shape = []
     Apow = A
-    for _ in range(cap):
+    for _ in range(n):
         kern = kernel_basis_at_threshold(Apow)
         if len(kern) == len(vectors):
             break
@@ -657,6 +649,7 @@ def zeta_q_plus_1_inertia(p: int, q: int) -> int:
 
 
 def needs_zeta_q_plus_1(field: FieldDescriptor) -> bool:
-    """True when the working field is too small for the triangularization
-    pipeline, which multiplies eigenvalues by (q+1)-th roots of unity."""
+    """True when the residue field has no (q+1)-th roots of unity.  This
+    states the supported range of `paths.connect_to_diagonal`, which rejects
+    such fields."""
     return (field.p ** field.f0 - 1) % (field.q + 1) != 0

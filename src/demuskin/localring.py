@@ -449,9 +449,8 @@ class FieldDescriptor:
         for j in range(f0):
             z[j] = rinv[j]
         z = tuple(z)
-        steps = max(1, math.ceil(math.log2(self.Nint))) + 1
         two = tuple((2 if i == 0 else 0) for i in range(e * f0))
-        for _ in range(steps):
+        for _ in range(math.ceil(math.log2(self.Nint))):
             t = self._dig_mul(u, z)
             t = tuple((a - b) % pM for a, b in zip(two, t))
             z = self._dig_mul(z, t)
@@ -711,15 +710,10 @@ def _shift_up(field, digits, k):
     """digits * pi^k inside O_F/pi^Nint, the quotient the digits live in."""
     if k >= field.Nint:
         return (0,) * (field.e * field.f0)
-    va, vb = divmod(k, field.e)
-    if va:
-        if field.e == 1:
-            digits = tuple((c * field.p ** va) % field.pM for c in digits)
-            va = 0
-        else:
-            vb += va * field.e
-            va = 0
-    for _ in range(vb):
+    if field.e == 1:
+        pk = field.p ** k
+        return tuple((c * pk) % field.pM for c in digits)
+    for _ in range(k):
         digits = field._dig_mul_pi(digits)
     return digits
 
@@ -796,22 +790,16 @@ def hensel_lift_unity(x0: LocalElement, q: int) -> LocalElement:
         raise HenselBasinError("start value is not a unit")
     if q == 1:
         return f.one()
-    return _snap_to_mu(_newton_unity(x0, q, "outside the Newton basin for x^q = 1"))
-
-
-def _newton_unity(x: LocalElement, m: int, failure: str) -> LocalElement:
-    """Newton iteration x <- x - (x^m - 1)/(m x^(m-1)) from the unit x until
-    x^m = 1 at working precision; HenselBasinError(failure) when x leaves the
-    units or the iteration does not converge."""
-    me = x.field.from_int(m)
-    for _ in range(math.ceil(math.log2(x.field.N)) + 3):
-        r = x ** m - 1
+    x = x0
+    qe = f.from_int(q)
+    for _ in range(math.ceil(math.log2(f.N)) + 3):
+        r = x ** q - 1
         if r.is_zero():
-            return x
-        x = x - r / (me * x ** (m - 1))
+            return _snap_to_mu(x)
+        x = x - r / (qe * x ** (q - 1))
         if x.valuation() != 0:
             break
-    raise HenselBasinError(failure)
+    raise HenselBasinError("outside the Newton basin for x^q = 1")
 
 
 def _snap_to_mu(x: LocalElement) -> LocalElement:
@@ -863,44 +851,6 @@ def reduce_mod_m(x: LocalElement) -> int:
     if v > 0:
         return 0
     return sum((x.digits[j] % f.p) * f.p ** j for j in range(f.f0))
-
-
-def zeta_tame(field: FieldDescriptor, m: int) -> LocalElement:
-    """An exact root of unity of order m prime to p, via Newton from the
-    residue field.  Requires m | p^f0 - 1."""
-    p, f0 = field.p, field.f0
-    if m < 1 or m % p == 0 or (p ** f0 - 1) % m != 0:
-        raise UnsupportedParametersError(
-            f"the residue field F_{p}^{f0} has no element of order {m}")
-    if m == 1:
-        return field.one()
-    order = p ** f0 - 1
-    target = None
-    for code in range(2, p ** f0):
-        cand = tuple((code // p ** i) % p for i in range(f0))
-        r = tuple(_polpow_mod(cand, order // m, field.unram, p))
-        if _k_order(field, r) == m:
-            target = r
-            break
-    if target is None:
-        raise UnsupportedParametersError("no generator found in residue field")
-    d = [0] * (field.e * f0)
-    for j in range(f0):
-        d[j] = target[j]
-    return _newton_unity(field.element(0, tuple(d)), m,
-                         "tame root lift did not converge")
-
-
-def _k_order(field, x):
-    if not any(x):
-        return 0
-    one = tuple((1 if j == 0 else 0) for j in range(field.f0))
-    cur = x
-    for k in range(1, field.p ** field.f0):
-        if cur == one:
-            return k
-        cur = field._k_mul(cur, x)
-    return 0
 
 
 def hensel_sqrt(x: LocalElement) -> LocalElement:

@@ -37,7 +37,6 @@ from .localring import (
     enumerate_mu_q,
     hensel_sqrt,
     mu_q_index,
-    zeta_tame,
 )
 from .linalg import (
     Mat,
@@ -217,14 +216,12 @@ def connect_to_diagonal(pt: DeformationPoint) -> PathCertificate:
         raise PathConstructionError(
             "spectrum of M_1 does not lie in mu_q at threshold")
     mus = enumerate_mu_q(f)
-    zq1 = zeta_tame(f, params.q + 1)
     basis = []
     for k in sorted(mults, reverse=True):
         lam = mus[k]
         fil = generalized_eigenspace(m1, lam)
         if fil.dimension() != mults[k]:
             raise PathConstructionError("eigenspace dimension mismatch")
-        _check_twist_invertible(m1, lam, zq1, params.q)
         basis.extend(_stage_basis_triangularizing(m2, fil, f))
     pmat = Mat(f, list(zip(*basis)))
     emat = mat_inv(pmat)
@@ -235,7 +232,6 @@ def connect_to_diagonal(pt: DeformationPoint) -> PathCertificate:
     if not (is_upper_triangular(m1p) and is_upper_triangular(m2p)):
         raise PathConstructionError(
             "Iwasawa-adjusted basis did not triangularize the pair at threshold")
-    pt1 = conjugate_point(pt, e0)
     seg1 = ConjugationMove(e0)
     seg2 = PolynomialPath(_squeeze_slots(params, m1p, m2p))
     diag1 = Mat.diag(f, [m1p.rows[i][i] for i in range(n)])
@@ -245,21 +241,6 @@ def connect_to_diagonal(pt: DeformationPoint) -> PathCertificate:
     seg3 = PolynomialPath(_contract_slots(params, diag1, diag2))
     end = DeformationPoint(params, [diag1, ident] + [ident] * (params.tuple_length - 2))
     return PathCertificate(pt, (seg1, seg2, seg3), end, label)
-
-
-def _check_twist_invertible(m1: Mat, lam, zq1, q):
-    """det of prod_{i=1..q} (M_1 - zq1^i lam) must be a unit; this is the
-    factored form of (x^(q+1) - lam^(q+1))/(x - lam) evaluated at M_1."""
-    f = m1.field
-    acc = Mat.identity(f, m1.n)
-    t = zq1
-    for _ in range(q):
-        acc = acc * (m1 - Mat.identity(f, m1.n).scale(t * lam))
-        t = t * zq1
-    if det(acc).valuation() != 0:
-        raise PathConstructionError(
-            "twisted eigenvalue product is not invertible; partner matrix "
-            "cannot preserve the filtration at this precision")
 
 
 def _stage_basis_triangularizing(m2: Mat, fil, f):

@@ -24,7 +24,6 @@ from demuskin.localring import (
     make_field,
     mu_q_index,
     reduce_mod_m,
-    zeta_tame,
 )
 
 
@@ -296,16 +295,6 @@ class TestReduce:
 
 
 class TestTameRootsAndSqrt:
-    def test_zeta4_in_f9(self):
-        f = make_field(3, 3, 2, 32)
-        i4 = zeta_tame(f, 4)
-        assert (i4 ** 4 - 1).is_zero()
-        assert not (i4 ** 2 - 1).is_zero()
-
-    def test_missing_tame_root(self, f33):
-        with pytest.raises(UnsupportedParametersError):
-            zeta_tame(f33, 4)  # F_3 has no 4th roots of unity
-
     def test_sqrt_of_exact_square(self):
         f = make_field(3, 3, 2, 32)
         rng = random.Random(3)
@@ -400,3 +389,22 @@ class TestStrip:
     def test_vp_int_matches_division_loop(self, p, k, m):
         c = p ** k * m
         assert _vp_int(c, p) == vp_by_division(c, p)
+
+
+def test_unit_inverse_takes_ceil_log2_newton_steps(monkeypatch):
+    """The start is exact mod pi and each Newton step doubles that, so
+    ceil(log2(Nint)) steps of two multiplies reach Nint, plus one multiply
+    for the final check: 2*11 + 1 at Nint = 2048."""
+    f = make_field(5, 5, 2, 1024)
+    u = random_element(random.Random(6), f).digits
+    calls = []
+    original = FieldDescriptor._dig_mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(FieldDescriptor, "_dig_mul", counted)
+    z = f._dig_inv(u)
+    assert len(calls) == 23
+    assert original(f, u, z) == f._one_digits()

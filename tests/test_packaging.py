@@ -50,3 +50,19 @@ def test_every_test_import_is_declared():
             for top in {m.partition(".")[0] for m in modules}:
                 assert top in sys.stdlib_module_names or top in local or top in declared, \
                     f"{path.name} imports {top!r}, which the test extra does not declare"
+
+
+def test_src_imports_are_used():
+    """Every name a module of the package imports is read somewhere in it."""
+    for path in sorted((ROOT / "src" / "demuskin").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            for name in bound:
+                assert name in read, f"{path.name} imports {name!r} and never uses it"

@@ -98,3 +98,18 @@ def test_parse_and_verify_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_connect_makes_no_determinant_or_conjugation_of_its_own(monkeypatch):
+    """connect_to_diagonal triangularizes and contracts; it takes no
+    determinant and conjugates no point itself."""
+    p, q, f0, n, N, d = GRID[1]
+    params = DeformationParams(make_field(p, q, f0, N), d=d, n=n)
+    pt = sample_point_on_V(params, seed=2, eigenvalues=list(range(1, n + 1)))
+    calls = []
+    for name in ("det", "conjugate_point"):
+        original = getattr(paths, name)
+        monkeypatch.setattr(paths, name, lambda *args, _name=name, _fn=original:
+                            calls.append(_name) or _fn(*args))
+    connect_to_diagonal(pt)
+    assert calls == []
