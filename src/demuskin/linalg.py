@@ -38,14 +38,16 @@ class SingularMatrixError(NotInvertibleError):
 
 class Mat:
     """Square matrix over one field, with entries in one ring over it:
-    LocalElements or Polys.  The entry ring is read off the entries."""
+    LocalElements or Polys.  The entry ring is read off the entries.
+    Immutable, so `charpoly` keeps its result on the matrix."""
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "rows", "_charpoly")
 
     def __init__(self, field: FieldDescriptor, rows):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
+        self._charpoly = None
         for r in self.rows:
             if len(r) != self.n:
                 raise ValueError("matrix must be square")
@@ -311,14 +313,17 @@ class Poly:
 
 
 def charpoly(M: Mat) -> tuple[LocalElement, ...]:
-    """Coefficients (c_0,...,c_n) of det(xI - M), monic of degree n."""
-    f = M.field
-    one, zero = f.one(), f.zero()
-    xi_m = Mat(f, [[Poly(f, ((-M.rows[i][j]), one) if i == j else (-M.rows[i][j],))
-                    for j in range(M.n)] for i in range(M.n)])
-    coeffs = list(det(xi_m).coeffs)
-    coeffs += [zero] * (M.n + 1 - len(coeffs))
-    return tuple(coeffs[: M.n + 1])
+    """Coefficients (c_0,...,c_n) of det(xI - M), monic of degree n;
+    expanded once per matrix."""
+    if M._charpoly is None:
+        f = M.field
+        one, zero = f.one(), f.zero()
+        xi_m = Mat(f, [[Poly(f, ((-M.rows[i][j]), one) if i == j else (-M.rows[i][j],))
+                        for j in range(M.n)] for i in range(M.n)])
+        coeffs = list(det(xi_m).coeffs)
+        coeffs += [zero] * (M.n + 1 - len(coeffs))
+        M._charpoly = tuple(coeffs[: M.n + 1])
+    return M._charpoly
 
 
 def poly_eval_matrix(coeffs, M: Mat) -> Mat:
@@ -405,10 +410,11 @@ def elementary_divisor_valuations(rows, field, tau=None):
             break
         v, pr, pc = best
         divisors.append(v)
-        pivot = work[pr][pc]
-        for r in act_r:
-            if r != pr and not work[r][pc].is_zero():
-                m = work[r][pc] / pivot
+        targets = [r for r in act_r if r != pr and not work[r][pc].is_zero()]
+        if targets:
+            pinv = work[pr][pc].inv()
+            for r in targets:
+                m = work[r][pc] * pinv
                 for c in act_c:
                     work[r][c] = work[r][c] - m * work[pr][c]
         act_r.remove(pr)
@@ -475,10 +481,11 @@ def _kernel_rectangular(rows, field, tau=None):
         if best is None or best[0] >= tau:
             break
         _, pr, pc = best
-        pivot = work[pr][pc]
-        for c in act_c:
-            if c != pc and not work[pr][c].is_zero():
-                m = work[pr][c] / pivot
+        targets = [c for c in act_c if c != pc and not work[pr][c].is_zero()]
+        if targets:
+            pinv = work[pr][pc].inv()
+            for c in targets:
+                m = work[pr][c] * pinv
                 for i in range(nr):
                     work[i][c] = work[i][c] - m * work[i][pc]
                 for i in range(nc):
@@ -574,19 +581,23 @@ def iwasawa_decompose(E: Mat):
     The rows below are used nearest-last (descending r).  Row r is clear only
     in the pivot columns of the rows beneath it, so subtracting it never
     refills a column that a lower row has already cleared; in ascending
-    order it would refill the columns of the rows between i and r.
+    order it would refill the columns of the rows between i and r.  A row
+    is final once processed, so its pivot is inverted once, when first used.
     """
     f = E.field
     n = E.n
     work = [list(r) for r in E.rows]
     trans = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
     pivot_col = [None] * n
+    pivot_inv = [None] * n
     for i in range(n - 1, -1, -1):
         for r in range(n - 1, i, -1):
             c = pivot_col[r]
             t = work[i][c]
             if not t.is_zero():
-                m = t / work[r][c]
+                if pivot_inv[r] is None:
+                    pivot_inv[r] = work[r][c].inv()
+                m = t * pivot_inv[r]
                 for j in range(n):
                     work[i][j] = work[i][j] - m * work[r][j]
                     trans[i][j] = trans[i][j] - m * trans[r][j]
@@ -615,13 +626,14 @@ def _invert_upper_triangular(U: Mat) -> Mat:
     f = U.field
     n = U.n
     x = [[f.zero()] * n for _ in range(n)]
+    dinv = [U.rows[i][i].inv() for i in range(n)]
     for j in range(n - 1, -1, -1):
-        x[j][j] = U.rows[j][j].inv()
+        x[j][j] = dinv[j]
         for i in range(j - 1, -1, -1):
             acc = f.zero()
             for k in range(i + 1, j + 1):
                 acc = acc + U.rows[i][k] * x[k][j]
-            x[i][j] = -acc * U.rows[i][i].inv()
+            x[i][j] = -acc * dinv[i]
     return Mat(f, x)
 
 

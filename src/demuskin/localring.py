@@ -188,11 +188,15 @@ class FieldDescriptor:
 
     Internally every digit vector lives in O_F/pi^Nint with Nint = 2N: the
     upper band is a guard, and the integer coefficients are kept modulo
-    pM = p^(2M), which matches pi^Nint.  Stripping a valuation v into the
-    shift divides the digits by pi^v, which commits to one of several lifts:
-    the quotient's digits below relative depth Nint - v are exact, and only
-    those from that depth upward are a choice.  All published semantics
-    (valuation, equality, zero-ness, serialization) are at precision N.
+    pM = p^(2M), which matches pi^Nint.  Because the pi^i a^j basis is a
+    Z_p-basis of O_F, reducing the coefficients mod p^m instead gives
+    O_F/pi^(e*m); the Newton steps of a unit inverse work in these smaller
+    quotients, with one packing layout per modulus.  Stripping a valuation
+    v into the shift divides the digits by pi^v, which commits to one of
+    several lifts: the quotient's digits below relative depth Nint - v are
+    exact, and only those from that depth upward are a choice.  All
+    published semantics (valuation, equality, zero-ness, serialization) are
+    at precision N.
 
     make_field returns one shared descriptor per parameter set, so fields
     compare by identity first.
@@ -200,7 +204,7 @@ class FieldDescriptor:
 
     __slots__ = ("p", "q", "f0", "e", "N", "Nint", "M", "pM", "tau", "unram",
                  "eis", "_pired", "_ured", "_u0inv", "_mu_cache", "_one",
-                 "_zero", "_inv2", "_winv", "_slot_bytes", "_stride", "_zbytes",
+                 "_zero", "_inv2", "_winv", "_stride", "_lay", "_layouts",
                  "__weakref__")
 
     def __init__(self, p, q, f0, N, tau):
@@ -258,12 +262,9 @@ class FieldDescriptor:
         c0 = self.eis[0]
         u0 = c0 // self.p
         self._u0inv = pow(u0, -1, self.pM)
-        # Kronecker packing layout: one byte-aligned slot per basis monomial,
-        # wide enough to hold a full convolution coefficient without overlap.
-        bits = (e * f0 * (self.pM - 1) ** 2).bit_length() + 1
-        self._slot_bytes = (bits + 7) // 8
         self._stride = 2 * f0 - 1
-        self._zbytes = ((2 * e - 2) * self._stride + 2 * f0 - 1) * self._slot_bytes + 8
+        self._layouts = {}
+        self._lay = self._layout(2 * self.M)
 
     # -- equality / hashing on the defining data --------------------------
 
@@ -282,8 +283,22 @@ class FieldDescriptor:
 
     # -- digit-level arithmetic (flat tuples, index i*f0+j <-> pi^i a^j) --
 
-    def _pack(self, x):
-        bb = self._slot_bytes
+    def _layout(self, m):
+        """Kronecker packing layout (modulus p^m, slot bytes, product bytes)
+        for digits mod p^m: one byte-aligned slot per basis monomial, wide
+        enough to hold a full convolution coefficient without overlap.
+        Built once per m."""
+        lay = self._layouts.get(m)
+        if lay is None:
+            mod = self.p ** m
+            bits = (self.e * self.f0 * (mod - 1) ** 2).bit_length() + 1
+            bb = (bits + 7) // 8
+            zbytes = ((2 * self.e - 2) * self._stride + 2 * self.f0 - 1) * bb + 8
+            lay = self._layouts[m] = (mod, bb, zbytes)
+        return lay
+
+    def _pack(self, x, lay=None):
+        bb = (lay or self._lay)[1]
         S = self._stride
         out = 0
         f0 = self.f0
@@ -296,15 +311,16 @@ class FieldDescriptor:
                     out |= c << (rowoff + j * bb * 8)
         return out
 
-    def _dig_mul_packed(self, xp, yp):
+    def _dig_mul_packed(self, xp, yp, lay=None):
         """Digit product from two packed integers: one bigint multiply, byte
-        extraction, then reduction by the small signed defining rows."""
-        e, f0, pM = self.e, self.f0, self.pM
+        extraction, then reduction by the small signed defining rows.  The
+        layout (default: the full one, mod pM) gives the modulus."""
+        pM, bb, zbytes = lay or self._lay
+        e, f0 = self.e, self.f0
         if e == 1 and f0 == 1:
             return ((xp * yp) % pM,)
-        bb = self._slot_bytes
         S = self._stride
-        buf = (xp * yp).to_bytes(self._zbytes, "little")
+        buf = (xp * yp).to_bytes(zbytes, "little")
         fb = int.from_bytes
         acc = [[fb(buf[(k * S + j) * bb:(k * S + j + 1) * bb], "little")
                 for j in range(2 * f0 - 1)] for k in range(2 * e - 1)]
@@ -441,27 +457,28 @@ class FieldDescriptor:
         return tuple(_polpow_mod(x, self.p ** self.f0 - 2, self.unram, self.p))
 
     def _dig_inv(self, u):
-        """Inverse of a unit digit vector, exact in O_F/pi^Nint."""
-        e, f0, p, pM = self.e, self.f0, self.p, self.pM
-        res = tuple(u[j] % p for j in range(f0))
-        rinv = self._k_inv(res)
-        z = [0] * (e * f0)
-        for j in range(f0):
-            z[j] = rinv[j]
-        z = tuple(z)
-        two = tuple((2 if i == 0 else 0) for i in range(e * f0))
-        for _ in range(math.ceil(math.log2(self.Nint))):
-            t = self._dig_mul(u, z)
-            t = tuple((a - b) % pM for a, b in zip(two, t))
-            z = self._dig_mul(z, t)
-        if self._dig_mul(u, z) != self._one_digits():
+        """Inverse of a unit digit vector, exact in O_F/pi^Nint.
+
+        Newton z <- z(2 - u z) from the residue-field inverse, which is exact
+        mod pi.  Step k doubles the known precision to P_k = min(2^k, Nint)
+        digits and works mod p^m with m = ceil(P_k/e), i.e. in
+        O_F/pi^(e*m), so each step multiplies numbers only as wide as the
+        precision it reaches.  The last step works mod pM, and a unit has one
+        inverse there, so the digits are the canonical ones; a final
+        full-width u*z == 1 check guards non-units.
+        """
+        e, f0, p, Nint = self.e, self.f0, self.p, self.Nint
+        z = self._k_inv(tuple(u[j] % p for j in range(f0))) + (0,) * ((e - 1) * f0)
+        for k in range(1, math.ceil(math.log2(Nint)) + 1):
+            lay = self._layout(-(-min(1 << k, Nint) // e))
+            mod = lay[0]
+            zp = self._pack(z, lay)
+            t = self._dig_mul_packed(self._pack(tuple(c % mod for c in u), lay), zp, lay)
+            t = ((2 - t[0]) % mod,) + tuple(-c % mod for c in t[1:])
+            z = self._dig_mul_packed(zp, self._pack(t, lay), lay)
+        if self._dig_mul(u, z) != self._one.digits:
             raise NotInvertibleError("inversion failed at working precision")
         return z
-
-    def _one_digits(self):
-        d = [0] * (self.e * self.f0)
-        d[0] = 1
-        return tuple(d)
 
     # -- element constructors ---------------------------------------------
 
@@ -492,7 +509,7 @@ class FieldDescriptor:
         return self.element(0, tuple(d))
 
     def uniformizer(self):
-        return LocalElement(self, 1, self._one_digits())
+        return LocalElement(self, 1, self._one.digits)
 
     def zeta(self):
         """The fixed primitive q-th root of unity, 1 + pi exactly."""
@@ -530,6 +547,11 @@ class LocalElement:
     and the reported valuation are all at the published precision N; digits
     in the guard band above N are carried for arithmetic but are never
     meaningful on their own.
+
+    Every stored digit is reduced into [0, pM): each constructor and ring
+    operation reduces its result.  The shortcuts for pi^k (digits equal to
+    those of one) rely on this: multiplying by pi^k adds k to the shift and
+    inverting it negates the shift, with the digits as they are.
     """
 
     __slots__ = ("field", "shift", "digits", "_pk", "_val")
@@ -607,11 +629,16 @@ class LocalElement:
         other = _coerce(self.field, other)
         if other is NotImplemented:
             return NotImplemented
+        f = self.field
+        shift = self.shift + other.shift
         if not any(self.digits) or not any(other.digits):
-            zero = (0,) * (self.field.e * self.field.f0)
-            return self.field.element(self.shift + other.shift, zero)
-        return LocalElement(self.field, self.shift + other.shift,
-                            self.field._dig_mul_packed(self._packed(), other._packed()))
+            return f.element(shift, (0,) * (f.e * f.f0))
+        one = f._one.digits
+        if other.digits == one:
+            return LocalElement(f, shift, self.digits)
+        if self.digits == one:
+            return LocalElement(f, shift, other.digits)
+        return LocalElement(f, shift, f._dig_mul_packed(self._packed(), other._packed()))
 
     __rmul__ = __mul__
 
@@ -619,6 +646,8 @@ class LocalElement:
         if self.is_zero():
             raise NotInvertibleError("not invertible at precision")
         f = self.field
+        if self.digits == f._one.digits:
+            return LocalElement(f, -self.shift, self.digits)
         return LocalElement(f, -self.shift, f._dig_inv(self.digits))
 
     def __truediv__(self, other):

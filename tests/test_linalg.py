@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from demuskin.localring import make_field
+from demuskin.localring import LocalElement, make_field
 from demuskin.linalg import (
+    _invert_upper_triangular,
     Mat,
     Poly,
     PrecisionExhaustedError,
@@ -302,6 +303,60 @@ class TestIwasawa:
         z = f33.zero()
         with pytest.raises(SingularMatrixError):
             iwasawa_decompose(Mat(f33, [[f33.one(), z], [f33.one(), z]]))
+
+
+@pytest.fixture
+def inv_calls(monkeypatch):
+    """List that grows by one per LocalElement.inv call."""
+    calls = []
+    original = LocalElement.inv
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LocalElement, "inv", counted)
+    return calls
+
+
+class TestOneInversePerPivot:
+    """Each pivot or diagonal entry is inverted once, however many entries
+    it clears."""
+
+    def test_kernel(self, f33, inv_calls):
+        # rank 3: the last row is the sum of the others
+        m = Mat.from_int_rows(f33, [[1, 2, 4, 7], [2, 1, 5, 8],
+                                    [4, 5, 1, 10], [7, 8, 10, 25]])
+        kern = kernel_basis_at_threshold(m)
+        assert len(kern) == 1 and len(inv_calls) == 3
+        assert all(x.is_zero() for x in _apply(m, kern[0]))
+
+    def test_elementary_divisors(self, f33, inv_calls):
+        m = Mat.from_int_rows(f33, [[1, 2, 4, 7], [2, 1, 5, 8],
+                                    [4, 5, 1, 10], [1, 1, 1, 2]])
+        # det = -36 has pi-valuation 4 (pi^2 = 3 times a unit)
+        assert elementary_divisor_valuations(m.rows, f33) == [0, 0, 2, 2]
+        assert len(inv_calls) == 3
+
+    def test_iwasawa(self, f33, inv_calls):
+        # three pivot rows clear the rows above them; the unitriangular
+        # left factor then inverts its four diagonal entries
+        e = Mat.from_int_rows(f33, [[2, 1, 1, 1], [1, 2, 1, 1],
+                                    [1, 1, 2, 1], [1, 1, 1, 2]])
+        nup, e0 = iwasawa_decompose(e)
+        assert len(inv_calls) == 3 + 4
+        assert (nup * e0).eq_at(e, f33.N)
+
+    def test_upper_triangular_inverse(self, f33, inv_calls):
+        u = Mat.from_int_rows(f33, [[2, 1, 1, 1], [0, 2, 1, 1],
+                                    [0, 0, 2, 1], [0, 0, 0, 2]])
+        x = _invert_upper_triangular(u)
+        assert len(inv_calls) == 4
+        assert (u * x).is_identity()
+
+
+def _apply(m, v):
+    return [sum((a * b for a, b in zip(row, v)), m.field.zero()) for row in m.rows]
 
 
 class TestFieldPredicates:

@@ -391,20 +391,78 @@ class TestStrip:
         assert _vp_int(c, p) == vp_by_division(c, p)
 
 
+def full_width_inverse(f, u):
+    """Reference unit inverse: the same Newton iteration with every step on
+    full-width products mod pM."""
+    z = f._k_inv(tuple(c % f.p for c in u[:f.f0])) + (0,) * ((f.e - 1) * f.f0)
+    for _ in range(math.ceil(math.log2(f.Nint))):
+        t = f._dig_mul(u, z)
+        z = f._dig_mul(z, tuple((2 * (i == 0) - c) % f.pM for i, c in enumerate(t)))
+    return z
+
+
+INV_FIELDS = STRIP_FIELDS + [make_field(5, 5, 2, 1024)]
+
+
+def is_reduced(f, x):
+    return all(0 <= c < f.pM for c in x.digits)
+
+
+class TestUnitInverse:
+    @pytest.mark.parametrize("f", INV_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_inverse_matches_full_width_newton(self, f, data):
+        u, _ = data.draw(unit_and_depth(f))
+        assert f._dig_inv(u) == full_width_inverse(f, u)
+
+    @pytest.mark.parametrize("f", STRIP_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_pi_power_multiplies_and_inverts_as_a_shift(self, f, data):
+        u, _ = data.draw(unit_and_depth(f))
+        s = data.draw(st.integers(-f.N, 2 * f.N))
+        k = data.draw(st.integers(-f.N, 2 * f.N))
+        x = LocalElement(f, s, u)
+        pik = f.uniformizer() ** k
+        assert (pik.shift, pik.digits) == (k, f._one.digits)
+        want = f._dig_mul_packed(f._pack(u), f._pack(pik.digits))
+        for prod in (x * pik, pik * x):
+            assert (prod.shift, prod.digits) == (s + k, want)
+        if k < f.N:
+            assert (pik.inv().shift, pik.inv().digits) == (-k, f._dig_inv(pik.digits))
+
+    @pytest.mark.parametrize("f", STRIP_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_every_result_digit_is_reduced(self, f, data):
+        shifts = st.integers(-f.N, 2 * f.N)
+        wide = st.lists(st.integers(-f.pM ** 2, f.pM ** 2),
+                        min_size=f.e * f.f0, max_size=f.e * f.f0)
+        x = f.from_digit_list(data.draw(shifts), [str(c) for c in data.draw(wide)])
+        u, v = data.draw(unit_and_depth(f))
+        y = f.element(data.draw(shifts), _shift_up(f, u, v))
+        results = [x, y, x + y, x - y, y - x, x * y, -x]
+        results += [z.inv() for z in (x, y) if not z.is_zero()]
+        assert all(is_reduced(f, z) for z in results)
+
+
 def test_unit_inverse_takes_ceil_log2_newton_steps(monkeypatch):
     """The start is exact mod pi and each Newton step doubles that, so
-    ceil(log2(Nint)) steps of two multiplies reach Nint, plus one multiply
-    for the final check: 2*11 + 1 at Nint = 2048."""
+    ceil(log2(Nint)) = 11 steps reach Nint = 2048.  Step k makes two
+    multiplies mod p^ceil(min(2^k, Nint)/e), and one full-width multiply
+    checks the result."""
     f = make_field(5, 5, 2, 1024)
     u = random_element(random.Random(6), f).digits
-    calls = []
-    original = FieldDescriptor._dig_mul
+    moduli = []
+    original = FieldDescriptor._dig_mul_packed
 
-    def counted(self, x, y):
-        calls.append(1)
-        return original(self, x, y)
+    def counted(self, xp, yp, lay=None):
+        moduli.append((lay or self._lay)[0])
+        return original(self, xp, yp, lay)
 
-    monkeypatch.setattr(FieldDescriptor, "_dig_mul", counted)
+    monkeypatch.setattr(FieldDescriptor, "_dig_mul_packed", counted)
     z = f._dig_inv(u)
-    assert len(calls) == 23
-    assert original(f, u, z) == f._one_digits()
+    steps = [f.p ** -(-min(2 ** k, f.Nint) // f.e) for k in range(1, 12)]
+    assert moduli == [m for m in steps for _ in range(2)] + [f.pM]
+    assert original(f, f._pack(u), f._pack(z)) == f._one.digits

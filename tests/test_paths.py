@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from demuskin import deformation, paths
+from demuskin import deformation, linalg, paths
 from demuskin.localring import make_field
 from demuskin.deformation import DeformationParams, sample_point_on_V
 from demuskin.paths import (
@@ -18,6 +18,7 @@ GRID = [
     (5, 5, 2, 2, 32, 4),
     (5, 5, 2, 3, 32, 4),
     (3, 3, 2, 2, 32, 2),
+    (5, 5, 2, 2, 1024, 4),
 ]
 
 # sha256 of json.dumps of the certificate and of its verification report on
@@ -33,6 +34,9 @@ GOLDEN = {
     (3, 3, 2, 2, 32, 2): (
         "9a8cdb3f1a542ff05c1bec57113deaa41ee1297cefd617ad83598435464f0f29",
         "20ab0863bfc5826163d5aedfeaaa7a5d9a294c0f6b2b3e9cc14fc3afff46ffd4"),
+    (5, 5, 2, 2, 1024, 4): (
+        "902525e555368b8f5a3ed698558af5d765cfe302f11264c5df340af907cf8722",
+        "ec4202b3e6b8273b0035c5fac0fd9ef3b0e0c11d74bc15a37192667e8b6b5056"),
 }
 
 
@@ -90,7 +94,8 @@ def test_parsed_certificate_shares_the_builders_field():
 def test_parse_and_verify_leave_no_cyclic_garbage():
     """Parsing reuses the live field, so it builds no new field (and with it
     no field <-> cached element cycle) for the cyclic collector to free."""
-    text = json.dumps(grid_certificate(*GRID[0]).to_json())
+    cert = grid_certificate(*GRID[0])  # keeps the field alive
+    text = json.dumps(cert.to_json())
     gc.collect()
     gc.disable()
     try:
@@ -113,3 +118,25 @@ def test_connect_makes_no_determinant_or_conjugation_of_its_own(monkeypatch):
                             calls.append(_name) or _fn(*args))
     connect_to_diagonal(pt)
     assert calls == []
+
+
+def test_connect_expands_the_characteristic_polynomial_once(monkeypatch):
+    """Eigenvalue detection and every eigenspace's multiplicity check share
+    one charpoly expansion of M_1 (a determinant over Poly)."""
+    p, q, f0, n, N, d = GRID[1]
+    params = DeformationParams(make_field(p, q, f0, N), d=d, n=n)
+    pt = sample_point_on_V(params, seed=2, eigenvalues=list(range(1, n + 1)))
+    calls = []
+    original = linalg.det
+
+    def counted(m):
+        if isinstance(m.rows[0][0], linalg.Poly):
+            calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "det", counted)
+    connect_to_diagonal(pt)
+    assert len(calls) == 1
+    m1, zero = pt.matrices[0], params.field.zero()
+    assert all(calls[0].rows[i][j](zero) == -m1.rows[i][j]
+               for i in range(n) for j in range(n))
