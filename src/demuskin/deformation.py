@@ -352,14 +352,3 @@ def detect_eigenvalues(m1: Mat) -> dict[int, int]:
             out[j] = mult
     return out
 
-
-def eigenvalues_by_rank_drop(m1: Mat) -> list[int]:
-    """Label indices where M_1 - lambda drops rank at threshold."""
-    from .linalg import rank_at_threshold
-    f = m1.field
-    out = []
-    for j, lam in enumerate(enumerate_mu_q(f)):
-        shifted = m1 - Mat.identity(f, m1.n).scale(lam)
-        if rank_at_threshold(shifted) < m1.n:
-            out.append(j)
-    return out

@@ -10,7 +10,9 @@ is one; otherwise it raises NotInvertibleError.
 
 Everything here is threshold-aware: rank, kernels and eigenspace stages
 refuse to guess when an elementary divisor lands in the ambiguity band
-[tau, N), and raise PrecisionExhaustedError instead.  Determinants expand
+[tau, N), and raise PrecisionExhaustedError instead.  Rank, kernel and
+span membership share one elimination sweep, `_kernel_rectangular`: a rank
+is the column count minus the kernel dimension.  Determinants expand
 division-free (memoized Laplace over column subsets), so they never consume
 precision; inverses go through `adjugate` for the same reason, with one
 division by the determinant.
@@ -63,10 +65,6 @@ class Mat:
         zero = field.zero()
         n = len(entries)
         return Mat(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_int_rows(field, rows):
-        return Mat(field, [[field.from_int(c) for c in r] for r in rows])
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -326,14 +324,6 @@ def charpoly(M: Mat) -> tuple[LocalElement, ...]:
     return M._charpoly
 
 
-def poly_eval_matrix(coeffs, M: Mat) -> Mat:
-    """Evaluate a coefficient list (c_0,...,c_d) at a matrix argument."""
-    acc = Mat.identity(M.field, M.n).scale(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * M + Mat.identity(M.field, M.n).scale(c)
-    return acc
-
-
 def synthetic_divide(coeffs, lam):
     """Divide a monic-or-not coefficient list by (x - lam); returns the
     quotient coefficients, discarding the (checked-elsewhere) remainder."""
@@ -364,11 +354,6 @@ def deflate(coeffs, lam, tau):
     return mult, coeffs
 
 
-def root_multiplicity(coeffs, lam, threshold) -> int:
-    """Multiplicity of lam as a root of the coefficient list, at threshold."""
-    return deflate(coeffs, lam, threshold)[0]
-
-
 # --- rank / kernels at a valuation threshold ---------------------------------
 
 
@@ -388,53 +373,18 @@ def _classify_remaining(entries, tau, N):
                 f"threshold {tau}; raise the working precision")
 
 
-def elementary_divisor_valuations(rows, field, tau=None):
-    """Smith-style divisor valuations below tau for a rectangular array of
-    LocalElements.  Global minimal-valuation pivoting; row clearing followed
-    by dropping the pivot row and column reproduces the divisor chain."""
-    tau = tau if tau is not None else field.tau
-    work = [list(r) for r in rows]
-    nr = len(work)
-    nc = len(work[0]) if nr else 0
-    act_r = list(range(nr))
-    act_c = list(range(nc))
-    divisors = []
-    while act_r and act_c:
-        best = None
-        for r in act_r:
-            for c in act_c:
-                v = work[r][c].valuation()
-                if v != math.inf and (best is None or v < best[0]):
-                    best = (v, r, c)
-        if best is None or best[0] >= tau:
-            break
-        v, pr, pc = best
-        divisors.append(v)
-        targets = [r for r in act_r if r != pr and not work[r][pc].is_zero()]
-        if targets:
-            pinv = work[pr][pc].inv()
-            for r in targets:
-                m = work[r][pc] * pinv
-                for c in act_c:
-                    work[r][c] = work[r][c] - m * work[pr][c]
-        act_r.remove(pr)
-        act_c.remove(pc)
-    _classify_remaining([work[r][c] for r in act_r for c in act_c], tau, field.N)
-    return divisors
-
-
 def rank_at_threshold(M, tau=None) -> int:
     """Number of elementary divisors with valuation below the threshold."""
     if isinstance(M, Mat):
-        return len(elementary_divisor_valuations(M.rows, M.field, tau))
+        return M.n - len(_kernel_rectangular(M.rows, M.field, tau))
     raise TypeError("rank_at_threshold expects a Mat")
 
 
 def rank_of_columns(cols, field, tau=None) -> int:
+    """Rank at threshold of the matrix whose columns are `cols`."""
     if not cols:
         return 0
-    rows = list(zip(*cols))
-    return len(elementary_divisor_valuations(rows, field, tau))
+    return len(cols) - len(_kernel_rectangular(list(zip(*cols)), field, tau))
 
 
 def kernel_basis_at_threshold(M: Mat, tau=None):
@@ -463,6 +413,9 @@ def solve_in_span(cols, target, field, tau=None):
 
 
 def _kernel_rectangular(rows, field, tau=None):
+    """Mirror columns of the columns left unreduced by global
+    minimal-valuation pivoting.  Each pivot is the next elementary divisor
+    below tau, so the column count minus the kernel dimension is the rank."""
     f = field
     tau = tau if tau is not None else f.tau
     nr = len(rows)
@@ -542,7 +495,7 @@ def generalized_eigenspace(M: Mat, lam: LocalElement) -> Filtration:
             break
         Apow = Apow * A
     if shape:
-        mult = root_multiplicity(charpoly(M), lam, f.tau)
+        mult, _ = deflate(charpoly(M), lam, f.tau)
         if mult != shape[-1]:
             raise PrecisionExhaustedError(
                 f"eigenspace dimension {shape[-1]} disagrees with characteristic "
@@ -568,15 +521,15 @@ def _extend_basis(current, candidates, field):
 # --- Iwasawa decomposition ----------------------------------------------------
 
 
-def iwasawa_decompose(E: Mat):
-    """Write E = Nup * E0 with Nup upper-triangular over F and E0 in
-    GL_n(O_F).
+def iwasawa_decompose(E: Mat) -> Mat:
+    """The integral factor E0 in GL_n(O_F) of E = Nup * E0, with Nup
+    upper-triangular over F.
 
-    Rows are processed bottom-up (so the accumulated left factor stays upper
-    triangular): eliminate the pivot columns of the rows below, rescale by a
-    power of the uniformizer to minimal valuation 0, then pivot on the
-    rightmost unit entry.  Uniformizer rescaling is a pure shift, hence
-    exact.
+    Rows are processed bottom-up, so the row operations applied to E form
+    an upper-triangular matrix T and E0 = T E, Nup = T^-1: eliminate the
+    pivot columns of the rows below, rescale by a power of the uniformizer
+    to minimal valuation 0, then pivot on the rightmost unit entry.
+    Uniformizer rescaling is a pure shift, hence exact.
 
     The rows below are used nearest-last (descending r).  Row r is clear only
     in the pivot columns of the rows beneath it, so subtracting it never
@@ -587,7 +540,6 @@ def iwasawa_decompose(E: Mat):
     f = E.field
     n = E.n
     work = [list(r) for r in E.rows]
-    trans = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
     pivot_col = [None] * n
     pivot_inv = [None] * n
     for i in range(n - 1, -1, -1):
@@ -600,7 +552,6 @@ def iwasawa_decompose(E: Mat):
                 m = t * pivot_inv[r]
                 for j in range(n):
                     work[i][j] = work[i][j] - m * work[r][j]
-                    trans[i][j] = trans[i][j] - m * trans[r][j]
         vmin = min(x.valuation() for x in work[i])
         if vmin == math.inf:
             raise SingularMatrixError("matrix not invertible over F")
@@ -608,7 +559,6 @@ def iwasawa_decompose(E: Mat):
             s = f.uniformizer() ** (-vmin)
             for j in range(n):
                 work[i][j] = work[i][j] * s
-                trans[i][j] = trans[i][j] * s
         used = pivot_col[i + 1:]
         cands = [c for c in range(n) if c not in used
                  and work[i][c].valuation() == 0]
@@ -618,23 +568,7 @@ def iwasawa_decompose(E: Mat):
     E0 = Mat(f, work)
     if det(E0).valuation() != 0:
         raise PrecisionExhaustedError("integral factor is not in GL_n(O_F)")
-    Nup = _invert_upper_triangular(Mat(f, trans))
-    return Nup, E0
-
-
-def _invert_upper_triangular(U: Mat) -> Mat:
-    f = U.field
-    n = U.n
-    x = [[f.zero()] * n for _ in range(n)]
-    dinv = [U.rows[i][i].inv() for i in range(n)]
-    for j in range(n - 1, -1, -1):
-        x[j][j] = dinv[j]
-        for i in range(j - 1, -1, -1):
-            acc = f.zero()
-            for k in range(i + 1, j + 1):
-                acc = acc + U.rows[i][k] * x[k][j]
-            x[i][j] = -acc * dinv[i]
-    return Mat(f, x)
+    return E0
 
 
 def is_upper_triangular(M: Mat, threshold=None) -> bool:
@@ -642,26 +576,3 @@ def is_upper_triangular(M: Mat, threshold=None) -> bool:
     return all(M.rows[i][j].valuation() >= t
                for i in range(M.n) for j in range(i))
 
-
-# --- field enlargement predicates ---------------------------------------------
-
-
-def zeta_q_plus_1_inertia(p: int, q: int) -> int:
-    """Smallest f0 whose unramified extension contains the (q+1)-th roots of
-    unity: the multiplicative order of p mod q+1."""
-    m = q + 1
-    k = 1
-    acc = p % m
-    while acc != 1:
-        acc = (acc * p) % m
-        k += 1
-        if k > m:
-            raise ValueError("order computation failed")
-    return k
-
-
-def needs_zeta_q_plus_1(field: FieldDescriptor) -> bool:
-    """True when the residue field has no (q+1)-th roots of unity.  This
-    states the supported range of `paths.connect_to_diagonal`, which rejects
-    such fields."""
-    return (field.p ** field.f0 - 1) % (field.q + 1) != 0

@@ -520,13 +520,6 @@ class FieldDescriptor:
         d[self.f0] = 1
         return LocalElement(self, 0, tuple(d))
 
-    def unramified_generator(self):
-        if self.f0 == 1:
-            return self.zero()
-        d = [0] * (self.e * self.f0)
-        d[1] = 1
-        return self.element(0, tuple(d))
-
     def from_digit_list(self, shift, digit_strings):
         digits = tuple(int(s) % self.pM for s in digit_strings)
         if len(digits) != self.e * self.f0:
@@ -585,9 +578,6 @@ class LocalElement:
         is indistinguishable from zero at precision N."""
         v = self._raw_valuation()
         return v if v < self.field.N else math.inf
-
-    def is_unit(self) -> bool:
-        return self._raw_valuation() == 0
 
     def __add__(self, other):
         other = _coerce(self.field, other)
@@ -685,13 +675,6 @@ class LocalElement:
         t = threshold if threshold is not None else self.field.tau
         return (self - other).valuation() >= t
 
-    def truncate(self, depth: int):
-        """Forget all digits from pi-valuation `depth` upward."""
-        f = self.field
-        if self.is_zero() or self.shift >= depth:
-            return f._zero
-        return f.element(self.shift, _mask_digits(f, self.digits, depth - self.shift))
-
     def __repr__(self):
         if self.is_zero():
             return "LocalElement(0 at precision)"
@@ -786,19 +769,6 @@ def make_field(p: int, q: int, f0: int = 1, N: int = 32, tau=None) -> FieldDescr
     if field is None:
         field = _FIELDS[key] = FieldDescriptor(*key)
     return field
-
-
-def arith(op: str, x: LocalElement, y: LocalElement | None = None) -> LocalElement:
-    """Dispatch form of the ring operations: add | mul | neg | inv."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return x.inv()
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def hensel_lift_unity(x0: LocalElement, q: int) -> LocalElement:

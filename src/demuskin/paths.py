@@ -48,7 +48,6 @@ from .linalg import (
     iwasawa_decompose,
     kernel_basis_at_threshold,
     mat_inv,
-    needs_zeta_q_plus_1,
     rank_of_columns,
     solve_in_span,
 )
@@ -203,10 +202,6 @@ def connect_to_diagonal(pt: DeformationPoint) -> PathCertificate:
     if not params.path_assumption:
         raise PreconditionError(
             f"path construction requires p > n (p = {params.p}, n = {n})")
-    if needs_zeta_q_plus_1(f):
-        raise PreconditionError(
-            "the working field has no (q+1)-th roots of unity; rebuild it "
-            "with inertia degree a multiple of the order of p mod q+1")
     if not is_in_V(pt):
         raise NotInVError("point is not on the identity-partners subspace")
     label = det_component(pt)
@@ -225,7 +220,7 @@ def connect_to_diagonal(pt: DeformationPoint) -> PathCertificate:
         basis.extend(_stage_basis_triangularizing(m2, fil, f))
     pmat = Mat(f, list(zip(*basis)))
     emat = mat_inv(pmat)
-    _, e0 = iwasawa_decompose(emat)
+    e0 = iwasawa_decompose(emat)
     e0i = mat_inv(e0)
     m1p = e0 * m1 * e0i
     m2p = e0 * m2 * e0i

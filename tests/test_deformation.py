@@ -3,7 +3,7 @@ import math
 import pytest
 
 from demuskin.localring import enumerate_mu_q, make_field
-from demuskin.linalg import Mat, det
+from demuskin.linalg import Mat, det, rank_at_threshold
 from demuskin.deformation import (
     ComponentLabel,
     DeformationParams,
@@ -15,7 +15,6 @@ from demuskin.deformation import (
     conjugate_point,
     det_component,
     detect_eigenvalues,
-    eigenvalues_by_rank_drop,
     is_in_V,
     label_for_index,
     sample_point_on_V,
@@ -207,6 +206,13 @@ class TestSampler:
         for seed in range(10):
             pt = sample_point_on_V(p554n3, seed, eigenvalues=[1, 1, 4])
             assert check_relation(pt) == math.inf
+
+
+def eigenvalues_by_rank_drop(m1):
+    """Label indices where M_1 - lambda drops rank at threshold."""
+    f = m1.field
+    return [j for j, lam in enumerate(enumerate_mu_q(f))
+            if rank_at_threshold(m1 - Mat.identity(f, m1.n).scale(lam)) < m1.n]
 
 
 class TestEigenvalueDetection:

@@ -21,7 +21,7 @@ def poly_mats(n):
 
 
 def local_mat(rows):
-    return Mat.from_int_rows(F, rows)
+    return Mat(F, [[F.from_int(c) for c in r] for r in rows])
 
 
 def poly_mat(rows):

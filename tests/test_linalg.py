@@ -2,28 +2,26 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demuskin.localring import LocalElement, make_field
 from demuskin.linalg import (
-    _invert_upper_triangular,
     Mat,
     Poly,
     PrecisionExhaustedError,
     SingularMatrixError,
+    _classify_remaining,
     charpoly,
+    deflate,
     det,
-    elementary_divisor_valuations,
     generalized_eigenspace,
     is_upper_triangular,
     iwasawa_decompose,
     kernel_basis_at_threshold,
     mat_inv,
-    needs_zeta_q_plus_1,
-    poly_eval_matrix,
     rank_at_threshold,
-    root_multiplicity,
+    rank_of_columns,
     solve_in_span,
-    zeta_q_plus_1_inertia,
 )
 
 
@@ -32,10 +30,50 @@ def f33():
     return make_field(3, 3, 1, 32)
 
 
-@pytest.fixture(scope="module")
-def f33w():
-    # wide enough for 4th roots of unity, as the path pipeline needs
-    return make_field(3, 3, 2, 32)
+def int_mat(field, rows):
+    return Mat(field, [[field.from_int(c) for c in r] for r in rows])
+
+
+def poly_eval_matrix(coeffs, M):
+    """Value at the matrix M of the coefficient list (c_0,...,c_d)."""
+    acc = Mat.identity(M.field, M.n).scale(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * M + Mat.identity(M.field, M.n).scale(c)
+    return acc
+
+
+def elementary_divisor_valuations(rows, field, tau=None):
+    """Row-elimination reference for the rank: Smith-style divisor
+    valuations below tau of a rectangular array of LocalElements.  Global
+    minimal-valuation pivoting; row clearing followed by dropping the pivot
+    row and column reproduces the divisor chain."""
+    tau = tau if tau is not None else field.tau
+    work = [list(r) for r in rows]
+    act_r = list(range(len(work)))
+    act_c = list(range(len(work[0]) if work else 0))
+    divisors = []
+    while act_r and act_c:
+        best = None
+        for r in act_r:
+            for c in act_c:
+                v = work[r][c].valuation()
+                if v != math.inf and (best is None or v < best[0]):
+                    best = (v, r, c)
+        if best is None or best[0] >= tau:
+            break
+        v, pr, pc = best
+        divisors.append(v)
+        targets = [r for r in act_r if r != pr and not work[r][pc].is_zero()]
+        if targets:
+            pinv = work[pr][pc].inv()
+            for r in targets:
+                m = work[r][pc] * pinv
+                for c in act_c:
+                    work[r][c] = work[r][c] - m * work[pr][c]
+        act_r.remove(pr)
+        act_c.remove(pc)
+    _classify_remaining([work[r][c] for r in act_r for c in act_c], tau, field.N)
+    return divisors
 
 
 def random_gl_matrix(rng, field, n):
@@ -50,6 +88,15 @@ def random_gl_matrix(rng, field, n):
             row.append((field.one() if i == j else field.zero()) + pi * x)
         rows.append(row)
     return Mat(field, rows)
+
+
+def random_unimodular(rng, field, n):
+    """Random element of GL_n(O_F): a random integral matrix, redrawn
+    until its determinant is a unit."""
+    while True:
+        g = random_matrix(rng, field, n)
+        if det(g).valuation() == 0:
+            return g
 
 
 def random_matrix(rng, field, n):
@@ -136,9 +183,9 @@ class TestCharpoly:
     def test_root_multiplicity(self, f33):
         z = f33.zeta()
         cp = charpoly(Mat.diag(f33, [z, z, f33.one()]))
-        assert root_multiplicity(cp, z, f33.tau) == 2
-        assert root_multiplicity(cp, f33.one(), f33.tau) == 1
-        assert root_multiplicity(cp, z * z, f33.tau) == 0
+        assert deflate(cp, z, f33.tau)[0] == 2
+        assert deflate(cp, f33.one(), f33.tau)[0] == 1
+        assert deflate(cp, z * z, f33.tau)[0] == 0
 
 
 class TestRank:
@@ -168,11 +215,38 @@ class TestRank:
         m = Mat(f33, [[f33.one(), f33.zero()], [f33.zero(), lost]])
         with pytest.raises(PrecisionExhaustedError):
             rank_at_threshold(m)
+        with pytest.raises(PrecisionExhaustedError):
+            rank_of_columns([(f33.one(), f33.zero()), (f33.zero(), lost)], f33)
+        with pytest.raises(PrecisionExhaustedError):
+            elementary_divisor_valuations(m.rows, f33)
 
     def test_divisor_valuations(self, f33):
         pi = f33.uniformizer()
         m = Mat.diag(f33, [pi ** 2, f33.one(), pi ** 5])
         assert sorted(elementary_divisor_valuations(m.rows, f33)) == [0, 2, 5]
+        assert rank_at_threshold(m) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rank_counts_the_pivots_of_row_elimination(self, f33, data):
+        """For M = g diag(pi^a_i) h with g, h in GL_n(O_F), the rank at tau
+        is the number of a_i below tau.  Exponents in [tau, N) and zero
+        entries are decided zero divisors."""
+        n = data.draw(st.integers(1, 4), label="n")
+        exps = data.draw(st.lists(st.one_of(
+            st.integers(0, f33.tau - 1), st.integers(f33.tau, f33.N - 1), st.none()),
+            min_size=n, max_size=n), label="exponents")
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        pi = f33.uniformizer()
+        d = Mat.diag(f33, [f33.zero() if a is None else pi ** a for a in exps])
+        m = random_unimodular(rng, f33, n) * d * random_unimodular(rng, f33, n)
+        want = sum(a is not None and a < f33.tau for a in exps)
+        assert len(elementary_divisor_valuations(m.rows, f33)) == want
+        assert rank_at_threshold(m) == want
+        k = data.draw(st.integers(1, n), label="columns")
+        cols = [tuple(r[j] for r in m.rows) for j in range(k)]
+        assert rank_of_columns(cols, f33) == len(
+            elementary_divisor_valuations(list(zip(*cols)), f33))
 
 
 class TestKernel:
@@ -252,24 +326,28 @@ class TestEigenspace:
         assert fil.shape == ()
 
 
+def assert_iwasawa_factor(e, e0, threshold):
+    """E0 is integral with unit determinant and E E0^-1 is upper triangular."""
+    assert all(x.valuation() >= 0 for r in e0.rows for x in r)
+    assert det(e0).valuation() == 0
+    assert is_upper_triangular(e * mat_inv(e0), threshold)
+
+
 class TestIwasawa:
     def test_identity(self, f33):
-        nup, e0 = iwasawa_decompose(Mat.identity(f33, 2))
-        assert nup.is_identity() and e0.is_identity()
+        assert iwasawa_decompose(Mat.identity(f33, 2)).is_identity()
 
     def test_lower_unipotent_integral(self, f33):
         one, zero = f33.one(), f33.zero()
         e = Mat(f33, [[one, zero], [f33.from_int(4), one]])
-        nup, e0 = iwasawa_decompose(e)
-        assert nup.is_identity()
-        assert e0 == e
+        assert iwasawa_decompose(e) == e
 
     def test_pole_in_triangular_part(self, f33):
         pi = f33.uniformizer()
         e = Mat.diag(f33, [pi.inv(), f33.one()])
-        nup, e0 = iwasawa_decompose(e)
+        e0 = iwasawa_decompose(e)
         assert e0.is_identity()
-        assert nup == e
+        assert_iwasawa_factor(e, e0, f33.N)
 
     def test_reconstruction_random(self, f33):
         rng = random.Random(16)
@@ -279,11 +357,7 @@ class TestIwasawa:
             d = Mat.diag(f33, [pi.inv() ** rng.randrange(3), f33.one(),
                                pi ** rng.randrange(2)])
             e = g * d * random_gl_matrix(rng, f33, 3)
-            nup, e0 = iwasawa_decompose(e)
-            assert is_upper_triangular(nup, threshold=3 * f33.N // 4)
-            assert det(e0).valuation() == 0
-            assert all(x.valuation() >= 0 for r in e0.rows for x in r)
-            assert (nup * e0).eq_at(e, 3 * f33.N // 4)
+            assert_iwasawa_factor(e, iwasawa_decompose(e), 3 * f33.N // 4)
 
     def test_bottom_row_unit_in_middle_pivot_column(self, f33):
         # row 2 pivots on column 2 but also has a unit in column 1, the
@@ -293,11 +367,7 @@ class TestIwasawa:
         e = Mat(f33, [[pi, zero, one],
                       [zero, one, zero],
                       [zero, one, one]])
-        nup, e0 = iwasawa_decompose(e)
-        assert is_upper_triangular(nup, threshold=3 * f33.N // 4)
-        assert det(e0).valuation() == 0
-        assert all(x.valuation() >= 0 for r in e0.rows for x in r)
-        assert (nup * e0).eq_at(e, 3 * f33.N // 4)
+        assert_iwasawa_factor(e, iwasawa_decompose(e), 3 * f33.N // 4)
 
     def test_singular_rejected(self, f33):
         z = f33.zero()
@@ -320,54 +390,35 @@ def inv_calls(monkeypatch):
 
 
 class TestOneInversePerPivot:
-    """Each pivot or diagonal entry is inverted once, however many entries
-    it clears."""
+    """Each pivot is inverted once, however many entries it clears."""
 
     def test_kernel(self, f33, inv_calls):
         # rank 3: the last row is the sum of the others
-        m = Mat.from_int_rows(f33, [[1, 2, 4, 7], [2, 1, 5, 8],
-                                    [4, 5, 1, 10], [7, 8, 10, 25]])
+        m = int_mat(f33, [[1, 2, 4, 7], [2, 1, 5, 8],
+                          [4, 5, 1, 10], [7, 8, 10, 25]])
         kern = kernel_basis_at_threshold(m)
         assert len(kern) == 1 and len(inv_calls) == 3
         assert all(x.is_zero() for x in _apply(m, kern[0]))
 
     def test_elementary_divisors(self, f33, inv_calls):
-        m = Mat.from_int_rows(f33, [[1, 2, 4, 7], [2, 1, 5, 8],
-                                    [4, 5, 1, 10], [1, 1, 1, 2]])
-        # det = -36 has pi-valuation 4 (pi^2 = 3 times a unit)
-        assert elementary_divisor_valuations(m.rows, f33) == [0, 0, 2, 2]
+        # det = -36 has pi-valuation 4 (pi^2 = 3 times a unit): divisor
+        # valuations 0, 0, 2, 2, all below tau; the last pivot clears nothing
+        m = int_mat(f33, [[1, 2, 4, 7], [2, 1, 5, 8],
+                          [4, 5, 1, 10], [1, 1, 1, 2]])
+        assert rank_at_threshold(m) == 4
         assert len(inv_calls) == 3
 
     def test_iwasawa(self, f33, inv_calls):
-        # three pivot rows clear the rows above them; the unitriangular
-        # left factor then inverts its four diagonal entries
-        e = Mat.from_int_rows(f33, [[2, 1, 1, 1], [1, 2, 1, 1],
-                                    [1, 1, 2, 1], [1, 1, 1, 2]])
-        nup, e0 = iwasawa_decompose(e)
-        assert len(inv_calls) == 3 + 4
-        assert (nup * e0).eq_at(e, f33.N)
-
-    def test_upper_triangular_inverse(self, f33, inv_calls):
-        u = Mat.from_int_rows(f33, [[2, 1, 1, 1], [0, 2, 1, 1],
-                                    [0, 0, 2, 1], [0, 0, 0, 2]])
-        x = _invert_upper_triangular(u)
-        assert len(inv_calls) == 4
-        assert (u * x).is_identity()
+        # three pivot rows clear the rows above them
+        e = int_mat(f33, [[2, 1, 1, 1], [1, 2, 1, 1],
+                          [1, 1, 2, 1], [1, 1, 1, 2]])
+        e0 = iwasawa_decompose(e)
+        assert len(inv_calls) == 3
+        assert_iwasawa_factor(e, e0, f33.N)
 
 
 def _apply(m, v):
     return [sum((a * b for a, b in zip(row, v)), m.field.zero()) for row in m.rows]
-
-
-class TestFieldPredicates:
-    def test_inertia_orders(self):
-        assert zeta_q_plus_1_inertia(3, 3) == 2   # 4th roots need F_9
-        assert zeta_q_plus_1_inertia(5, 5) == 2   # 6th roots need F_25
-        assert zeta_q_plus_1_inertia(7, 7) == 2   # 8th roots need F_49
-
-    def test_needs_predicate(self, f33, f33w):
-        assert needs_zeta_q_plus_1(f33)
-        assert not needs_zeta_q_plus_1(f33w)
 
 
 class TestPoly:

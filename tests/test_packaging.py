@@ -1,6 +1,7 @@
-"""pyproject.toml declares only what the package has."""
+"""The package declares only what it uses, and contains only what it calls."""
 
 import ast
+import collections
 import importlib
 import pathlib
 import re
@@ -66,3 +67,34 @@ def test_src_imports_are_used():
                 continue
             for name in bound:
                 assert name in read, f"{path.name} imports {name!r} and never uses it"
+
+
+def test_every_src_definition_has_a_caller():
+    """Every top-level function or class and every non-dunder method of the
+    package is named somewhere in the package outside its own definition,
+    or in the benchmark, whose tracer names its targets as strings."""
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "demuskin").glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+
+    def mentions(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield sub.value
+
+    total = collections.Counter(name for tree in trees + bench for name in mentions(tree))
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append(node)
+            if isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    m for m in node.body if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__")))
+    uncalled = [d.name for d in definitions
+                if total[d.name] == collections.Counter(mentions(d))[d.name]]
+    assert uncalled == [], f"defined in src/demuskin and never called: {uncalled}"

@@ -21,6 +21,15 @@ GRID = [
     (5, 5, 2, 2, 1024, 4),
 ]
 
+# Fields whose residue field has no (q+1)-th roots of unity: nothing in
+# construction or verification needs them.
+INERT_GRID = [
+    (5, 5, 1, 2, 32, 4),
+    (5, 5, 1, 3, 32, 4),
+    (7, 7, 1, 3, 32, 6),
+    (3, 3, 1, 2, 32, 2),
+]
+
 # sha256 of json.dumps of the certificate and of its verification report on
 # each grid point.  Refactors must keep both byte-identical; change a pin
 # only together with a deliberate change of the certificate or report format.
@@ -50,9 +59,10 @@ def sha256_json(blob):
     return hashlib.sha256(json.dumps(blob).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("p,q,f0,n,N,d", GRID)
+@pytest.mark.parametrize("p,q,f0,n,N,d", GRID + INERT_GRID)
 def test_certificate_verifies_and_roundtrips_through_json(p, q, f0, n, N, d):
     cert = grid_certificate(p, q, f0, n, N, d)
+    assert cert.label.index == sum(range(1, n + 1)) % q
     assert verify_certificate(cert).passed
     text = json.dumps(cert.to_json())
     back = PathCertificate.from_json(json.loads(text))
