@@ -246,8 +246,10 @@ def is_in_V(pt: DeformationPoint, threshold=None) -> bool:
 
 
 def conjugate_point(pt: DeformationPoint, g: Mat) -> DeformationPoint:
+    """g M_i g^-1 for every slot; identity slots are kept as they are."""
     gi = mat_inv(g)
-    return DeformationPoint(pt.params, [g * m * gi for m in pt.matrices])
+    return DeformationPoint(pt.params, [m if m.is_identity() else g * m * gi
+                                        for m in pt.matrices])
 
 
 # --- sampling -----------------------------------------------------------------

@@ -16,6 +16,12 @@ is the column count minus the kernel dimension.  Determinants expand
 division-free (memoized Laplace over column subsets), so they never consume
 precision; inverses go through `adjugate` for the same reason, with one
 division by the determinant.
+
+Each Laplace minor and each entry of a matrix product is one fused dot,
+`_dot`: its products are summed packed and reduced once per product shift
+(`FieldDescriptor.dot`) instead of once per product.  Over `Poly` the same
+dot runs once per output coefficient, and a product of two `Poly`s is a
+dot of one term.
 """
 
 from __future__ import annotations
@@ -68,19 +74,10 @@ class Mat:
 
     def __mul__(self, other):
         if isinstance(other, Mat):
-            n = self.n
-            a, b = self.rows, other.rows
-            out = []
-            for i in range(n):
-                ai = a[i]
-                row = []
-                for j in range(n):
-                    acc = ai[0] * b[0][j]
-                    for k in range(1, n):
-                        acc = acc + ai[k] * b[k][j]
-                    row.append(acc)
-                out.append(row)
-            return Mat(self.field, out)
+            f = self.field
+            cols = tuple(zip(*other.rows))
+            return Mat(f, [[_dot(f, [(x, y, False) for x, y in zip(r, c)]) for c in cols]
+                           for r in self.rows])
         if isinstance(other, (LocalElement, int)):
             return self.scale(other)
         return NotImplemented
@@ -159,30 +156,50 @@ def _det_expand(rows, one, zero):
 
 
 def _det_minor(rows, r, mask, zero, memo):
-    """Determinant of rows r.. restricted to the columns in mask.  A
-    module-level function, not a closure, so that no reference cycle keeps
-    the memo table alive after the expansion returns."""
+    """Determinant of rows r.. restricted to the columns in mask, as one
+    fused dot over the nonzero entries of row r.  A module-level function,
+    not a closure, so that no reference cycle keeps the memo table alive
+    after the expansion returns."""
     hit = memo.get(mask)
     if hit is not None:
         return hit
-    total = None
-    sign = 1
+    terms = []
+    neg = False
     m = mask
     while m:
         low = m & -m
-        c = low.bit_length() - 1
-        entry = rows[r][c]
+        entry = rows[r][low.bit_length() - 1]
         if not entry.is_zero():
-            term = entry * _det_minor(rows, r + 1, mask ^ low, zero, memo)
-            if sign < 0:
-                term = -term
-            total = term if total is None else total + term
-        sign = -sign
+            terms.append((entry, _det_minor(rows, r + 1, mask ^ low, zero, memo), neg))
+        neg = not neg
         m &= m - 1
-    if total is None:
-        total = zero
-    memo[mask] = total
+    total = memo[mask] = _dot(zero.field, terms) if terms else zero
     return total
+
+
+def _dot(field, terms):
+    """Sum of the products x*y, each negated where neg is true, over the
+    (x, y, neg) terms, whose factors are LocalElements or Polys (a
+    LocalElement acts as a constant polynomial).  Over LocalElements this is
+    `field.dot`; with a Poly among the factors it is one `field.dot` per
+    output coefficient, over the products of nonzero coefficients."""
+    if not any(isinstance(x, Poly) or isinstance(y, Poly) for x, y, _ in terms):
+        return field.dot(terms)
+    by_degree = []
+    for x, y, neg in terms:
+        b = _nonzero_coeffs(y)
+        for i, c in _nonzero_coeffs(x):
+            for j, d in b:
+                while len(by_degree) <= i + j:
+                    by_degree.append([])
+                by_degree[i + j].append((c, d, neg))
+    return Poly(field, [field.dot(t) for t in by_degree])
+
+
+def _nonzero_coeffs(x):
+    """(degree, coefficient) of the coefficients of x nonzero at N."""
+    return [(i, c) for i, c in enumerate(x.coeffs if isinstance(x, Poly) else (x,))
+            if not c.is_zero()]
 
 
 def det(M: Mat):
@@ -267,17 +284,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, LocalElement):
-            return Poly(self.field, tuple(c * other for c in self.coeffs))
-        a = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        b = [(j, c) for j, c in enumerate(other.coeffs) if not c.is_zero()]
-        if not (a and b):
-            return Poly(self.field, ())
-        out = [self.field.zero()] * (a[-1][0] + b[-1][0] + 1)
-        for i, x in a:
-            for j, y in b:
-                out[i + j] = out[i + j] + x * y
-        return Poly(self.field, out)
+        return _dot(self.field, [(self, other, False)])
 
     __rmul__ = __mul__
 

@@ -26,6 +26,13 @@ from __future__ import annotations
 import math
 import weakref
 
+# Most products `FieldDescriptor.dot` sums before one reduction; the full
+# packing layout has slot headroom for this many.  The longest dot the bench
+# workloads issue has 7 terms (a 6x6 product entry or Laplace minor, or one
+# coefficient of a Poly product); 128 covers n up to 128 at the same slot
+# width as 8 on their fields.  A longer dot is reduced in batches.
+DOT_TERMS = 128
+
 
 class LocalFieldError(Exception):
     """Base class for arithmetic errors in this package."""
@@ -198,6 +205,16 @@ class FieldDescriptor:
     published semantics (valuation, equality, zero-ness, serialization) are
     at precision N.
 
+    Digit vectors multiply as Kronecker-packed integers: one byte-aligned
+    slot per pi^i a^j, one bigint product, then a reduction (byte
+    extraction, the unramified and Eisenstein folds, one mod pM).  The slots
+    of the full layout have headroom for the sum of DOT_TERMS products, so
+    `dot` adds the products of one shift unreduced and reduces once.  For a
+    signed sum it adds a precomputed packed offset whose every slot is a
+    multiple of pM at least DOT_TERMS products deep: the slots stay
+    nonnegative, so one to_bytes still splits them, and the offset vanishes
+    in the final mod.
+
     make_field returns one shared descriptor per parameter set, so fields
     compare by identity first.
     """
@@ -205,7 +222,7 @@ class FieldDescriptor:
     __slots__ = ("p", "q", "f0", "e", "N", "Nint", "M", "pM", "tau", "unram",
                  "eis", "_pired", "_ured", "_u0inv", "_mu_cache", "_one",
                  "_zero", "_inv2", "_winv", "_stride", "_lay", "_layouts",
-                 "__weakref__")
+                 "_offset", "__weakref__")
 
     def __init__(self, p, q, f0, N, tau):
         """Takes the parameters as make_field normalizes them: N a multiple
@@ -265,6 +282,12 @@ class FieldDescriptor:
         self._stride = 2 * f0 - 1
         self._layouts = {}
         self._lay = self._layout(2 * self.M)
+        # every product slot at the least multiple of pM above DOT_TERMS
+        # products: a signed sum of up to DOT_TERMS products plus this stays
+        # inside [0, 2^(8 bb)) slot by slot, and reduces to the same digits
+        pM, bb = self.pM, self._lay[1]
+        slot = pM * -(-(DOT_TERMS * e * f0 * (pM - 1) ** 2) // pM)
+        self._offset = sum(slot << (8 * bb * k) for k in range((2 * e - 1) * self._stride))
 
     # -- equality / hashing on the defining data --------------------------
 
@@ -286,13 +309,16 @@ class FieldDescriptor:
     def _layout(self, m):
         """Kronecker packing layout (modulus p^m, slot bytes, product bytes)
         for digits mod p^m: one byte-aligned slot per basis monomial, wide
-        enough to hold a full convolution coefficient without overlap.
-        Built once per m."""
+        enough to hold a full convolution coefficient without overlap.  The
+        full layout (m = 2M) is wider still: a slot holds DOT_TERMS such
+        coefficients plus the signed offset of `dot`.  Built once per m."""
         lay = self._layouts.get(m)
         if lay is None:
             mod = self.p ** m
-            bits = (self.e * self.f0 * (mod - 1) ** 2).bit_length() + 1
-            bb = (bits + 7) // 8
+            top = self.e * self.f0 * (mod - 1) ** 2
+            if m == 2 * self.M:
+                top = 2 * DOT_TERMS * top + mod
+            bb = (top.bit_length() + 8) // 8
             zbytes = ((2 * self.e - 2) * self._stride + 2 * self.f0 - 1) * bb + 8
             lay = self._layouts[m] = (mod, bb, zbytes)
         return lay
@@ -311,16 +337,16 @@ class FieldDescriptor:
                     out |= c << (rowoff + j * bb * 8)
         return out
 
-    def _dig_mul_packed(self, xp, yp, lay=None):
-        """Digit product from two packed integers: one bigint multiply, byte
-        extraction, then reduction by the small signed defining rows.  The
-        layout (default: the full one, mod pM) gives the modulus."""
+    def _reduce_packed(self, z, lay=None):
+        """Digits of a packed product, or of a packed sum of products: byte
+        extraction, then reduction by the small signed defining rows and one
+        mod.  The layout (default: the full one, mod pM) gives the modulus."""
         pM, bb, zbytes = lay or self._lay
         e, f0 = self.e, self.f0
         if e == 1 and f0 == 1:
-            return ((xp * yp) % pM,)
+            return (z % pM,)
         S = self._stride
-        buf = (xp * yp).to_bytes(zbytes, "little")
+        buf = z.to_bytes(zbytes, "little")
         fb = int.from_bytes
         acc = [[fb(buf[(k * S + j) * bb:(k * S + j + 1) * bb], "little")
                 for j in range(2 * f0 - 1)] for k in range(2 * e - 1)]
@@ -348,8 +374,83 @@ class FieldDescriptor:
                             acc[i][j] += c * pc
         return tuple(acc[i][j] % pM for i in range(e) for j in range(f0))
 
+    def _dig_mul_packed(self, xp, yp, lay=None):
+        """Digit product from two packed integers: one bigint multiply and
+        one reduction."""
+        return self._reduce_packed(xp * yp, lay)
+
     def _dig_mul(self, x, y):
         return self._dig_mul_packed(self._pack(x), self._pack(y))
+
+    def dot(self, terms):
+        """Sum of the products x*y, each negated where neg is true, over the
+        (x, y, neg) terms: equal at precision N to the chain acc = acc + x*y
+        (or - x*y), with one reduction per product shift instead of one per
+        product.
+
+        A product that vanishes at N is left out, as `+` leaves it out.  If
+        the sum vanishes or nothing is left, the result is the zero with the
+        lowest knowledge horizon (smallest shift) among the sum and the
+        vanishing products, the zero that `+` keeps of two; the chain can
+        end on a higher one, since it drops a vanished partial sum that a
+        nonvanishing product follows.  The products of one shift are summed
+        packed and reduced once (per DOT_TERMS products); a factor pi^k adds
+        its partner's packed digits with no bigint product, and a shift with
+        a single product takes the ordinary multiply.  The sums of the
+        shifts are joined with `+`."""
+        N = self.N
+        groups = {}
+        low = None
+        for t in terms:
+            x, y, _ = t
+            s = x.shift + y.shift
+            dx, dy = x.digits, y.digits
+            if s >= N or not any(dx) or not any(dy):
+                # x*y vanishes; as a zero vector at s >= 0 it is the clean zero
+                h = s if s < 0 or (any(dx) and any(dy)) else 0
+                if low is None or h <= low[0]:
+                    low = (h, x, y)
+                continue
+            g = groups.get(s)
+            if g is None:
+                groups[s] = [t]
+            else:
+                g.append(t)
+        total = None
+        for s, g in groups.items():
+            if len(g) == 1:
+                x, y, neg = g[0]
+                v = -(x * y) if neg else x * y
+            else:
+                v = self.element(s, self._dot_digits(g))
+            total = v if total is None else total + v
+        if low is not None and (total is None or total.is_zero()):
+            v = low[1] * low[2]
+            total = v if total is None else total + v
+        return self._zero if total is None else total
+
+    def _dot_digits(self, terms):
+        """Digit vector of the sum of +-x*y over nonvanishing terms of one
+        product shift: DOT_TERMS packed products at a time, each batch
+        reduced once."""
+        one = self._one.digits
+        out = None
+        for k in range(0, len(terms), DOT_TERMS):
+            z = self._offset
+            for x, y, neg in terms[k:k + DOT_TERMS]:
+                if y.digits == one:
+                    t = x._packed()
+                elif x.digits == one:
+                    t = y._packed()
+                else:
+                    t = x._packed() * y._packed()
+                if neg:
+                    z -= t
+                else:
+                    z += t
+            d = self._reduce_packed(z)
+            out = d if out is None else self._dig_add(out, d)
+        return out
 
     def _dig_add(self, x, y):
         pM = self.pM
@@ -585,7 +686,8 @@ class LocalElement:
             return NotImplemented
         f = self.field
         if self.is_zero():
-            return other
+            # of two zeros, keep the lower knowledge horizon shift + N
+            return self if other.is_zero() and self.shift < other.shift else other
         if other.is_zero():
             return self
         s = min(self.shift, other.shift)

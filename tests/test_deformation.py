@@ -3,7 +3,7 @@ import math
 import pytest
 
 from demuskin.localring import enumerate_mu_q, make_field
-from demuskin.linalg import Mat, det, rank_at_threshold
+from demuskin.linalg import Mat, det, mat_inv, rank_at_threshold
 from demuskin.deformation import (
     ComponentLabel,
     DeformationParams,
@@ -142,6 +142,21 @@ class TestDetComponent:
         for _ in range(5):
             g = _random_gl_one_plus_m(rng, p554.field, 2)
             assert det_component(conjugate_point(pt, g)) == lab
+
+    def test_conjugation_keeps_identity_slots(self, p554, monkeypatch):
+        # g I g^-1 = I: only M_1 and M_2 are conjugated, two products each
+        import random
+        from demuskin.deformation import _random_gl_one_plus_m
+        pt = sample_point_on_V(p554, seed=5, eigenvalues=[1, 3])
+        g = _random_gl_one_plus_m(random.Random(22), p554.field, 2)
+        assert pt.params.tuple_length == 6 and is_in_V(pt)
+        calls = []
+        original = Mat.__mul__
+        monkeypatch.setattr(Mat, "__mul__", lambda a, b: calls.append(1) or original(a, b))
+        out = conjugate_point(pt, g)
+        assert len(calls) == 4
+        assert all(m is ident for m, ident in zip(out.matrices[2:], pt.matrices[2:]))
+        assert out.matrices[0] == g * pt.matrices[0] * mat_inv(g)
 
     def test_violated_point_raises(self, p332):
         f = p332.field

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demuskin.localring import LocalElement, make_field
+from demuskin.localring import FieldDescriptor, LocalElement, make_field
 from demuskin.linalg import (
     Mat,
     Poly,
@@ -220,6 +220,22 @@ class TestRank:
         with pytest.raises(PrecisionExhaustedError):
             elementary_divisor_valuations(m.rows, f33)
 
+    @pytest.mark.parametrize("shape", [((1, 1), (0, None)), ((1, 0), (1, None)),
+                                       ((1, 1), (None, 0))],
+                             ids=["upper", "lower", "swapped"])
+    def test_degraded_zero_survives_a_column_update(self, f33, shape):
+        # the update lost - m*0 must keep the horizon of lost, which is
+        # below tau; a clean zero in its place would decide rank 1
+        deep = f33.uniformizer().inv() ** 10
+        lost = deep - deep
+        m = Mat(f33, [[lost if c is None else f33.from_int(c) for c in r] for r in shape])
+        with pytest.raises(PrecisionExhaustedError):
+            rank_at_threshold(m)
+        with pytest.raises(PrecisionExhaustedError):
+            rank_of_columns(list(zip(*m.rows)), f33)
+        with pytest.raises(PrecisionExhaustedError):
+            kernel_basis_at_threshold(m)
+
     def test_divisor_valuations(self, f33):
         pi = f33.uniformizer()
         m = Mat.diag(f33, [pi ** 2, f33.one(), pi ** 5])
@@ -415,6 +431,50 @@ class TestOneInversePerPivot:
         e0 = iwasawa_decompose(e)
         assert len(inv_calls) == 3
         assert_iwasawa_factor(e, e0, f33.N)
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """List that grows by one per packed reduction."""
+    calls = []
+    original = FieldDescriptor._reduce_packed
+
+    def counted(self, z, lay=None):
+        calls.append(z)
+        return original(self, z, lay)
+
+    monkeypatch.setattr(FieldDescriptor, "_reduce_packed", counted)
+    return calls
+
+
+def unit_matrix(rng, field, n):
+    """Random n x n matrix of units at shift 0."""
+    p, pM, k = field.p, field.pM, field.e * field.f0
+    return Mat(field, [[LocalElement(field, 0, (rng.randrange(1, p) + p * rng.randrange(pM // p),)
+                                     + tuple(rng.randrange(pM) for _ in range(k - 1)))
+                        for _ in range(n)] for _ in range(n)])
+
+
+class TestOneReductionPerEntry:
+    """A sum of products of one shift is reduced once, not once per product."""
+
+    def test_dense_product(self, reduce_calls):
+        f = make_field(7, 7, 2, 36)
+        rng = random.Random(10)
+        a, b = unit_matrix(rng, f, 6), unit_matrix(rng, f, 6)
+        reduce_calls.clear()
+        a * b
+        assert len(reduce_calls) == 36  # one per product: 216
+
+    def test_dense_det(self, reduce_calls):
+        # one reduction per minor of size 2, 3 and 4 (6 + 4 + 1), as every
+        # minor of this matrix is a unit; the 1x1 minors multiply by one,
+        # which is a shift
+        f = make_field(7, 7, 2, 36)
+        m = unit_matrix(random.Random(11), f, 4)
+        reduce_calls.clear()
+        det(m)
+        assert len(reduce_calls) == 11  # one per product: 28
 
 
 def _apply(m, v):

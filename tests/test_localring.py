@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demuskin.localring import (
+    DOT_TERMS,
     FieldDescriptor,
     HenselBasinError,
     LocalElement,
@@ -480,3 +481,89 @@ def test_unit_inverse_takes_ceil_log2_newton_steps(monkeypatch):
     steps = [f.p ** -(-min(2 ** k, f.Nint) // f.e) for k in range(1, 12)]
     assert moduli == [m for m in steps for _ in range(2)] + [f.pM]
     assert original(f, f._pack(u), f._pack(z)) == f._one.digits
+
+
+DOT_FIELDS = STRIP_FIELDS + [make_field(5, 5, 2, 1024)]
+
+
+def sequential_dot(f, terms):
+    """The chain acc = acc + x*y (or - x*y) that `dot` fuses."""
+    acc = None
+    for x, y, neg in terms:
+        prod = -(x * y) if neg else x * y
+        acc = prod if acc is None else acc + prod
+    return f.zero() if acc is None else acc
+
+
+def assert_same_at_N(got, want):
+    """Equal at N; a vanishing dot keeps a horizon shift + N no higher than
+    the chain's, which drops a vanished partial sum when a nonvanishing
+    product follows it."""
+    assert got.valuation() == want.valuation()
+    assert got.is_zero() == want.is_zero()
+    assert got.to_json() == want.to_json()
+    if want.is_zero():
+        assert got.shift <= want.shift
+
+
+@st.composite
+def dot_factor(draw, f, shift):
+    """A unit, pi^k or all-(pM - 1) digit vector at the given shift (at N
+    or above it vanishes with nonzero digits), zero, or a degraded zero
+    pi^-k - pi^-k."""
+    kind = draw(st.sampled_from(["unit", "unit", "pi", "top", "zero", "lost"]))
+    if kind == "zero":
+        return f.zero()
+    if kind == "lost":
+        deep = f.uniformizer() ** -draw(st.integers(1, f.N))
+        return deep - deep
+    digits = {"unit": lambda: draw(unit_and_depth(f))[0],
+              "pi": lambda: f._one.digits,
+              "top": lambda: (f.pM - 1,) * (f.e * f.f0)}[kind]()
+    return LocalElement(f, shift, digits)
+
+
+@st.composite
+def dot_term(draw, f):
+    """(x, y, neg) whose product shift, when both digit vectors are nonzero,
+    lies in [-N, 2N]."""
+    s = draw(st.integers(-f.N, 2 * f.N))
+    sx = draw(st.integers(-f.N, 2 * f.N))
+    return draw(dot_factor(f, sx)), draw(dot_factor(f, s - sx)), draw(st.booleans())
+
+
+class TestDot:
+    @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_dot_equals_the_sequential_sum(self, f, data):
+        terms = data.draw(st.lists(dot_term(f), max_size=10))
+        # exact cancellations: the negation of some drawn terms
+        terms += [(x, y, not neg) for x, y, neg in terms if data.draw(st.booleans())]
+        terms = data.draw(st.permutations(terms))
+        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+
+    @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_full_slots_at_the_longest_dot(self, f, data):
+        """DOT_TERMS products of all-(pM - 1) digit vectors fill every slot
+        up to its headroom, with or without the signed offset; one product
+        more starts a second batch."""
+        n = data.draw(st.sampled_from([DOT_TERMS, DOT_TERMS + 1]))
+        negs = data.draw(st.one_of(st.just([False] * n), st.just([True] * n),
+                                   st.lists(st.booleans(), min_size=n, max_size=n)))
+        top = LocalElement(f, data.draw(st.integers(-f.N, f.N)), (f.pM - 1,) * (f.e * f.f0))
+        terms = [(top, top, neg) for neg in negs]
+        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+
+    def test_vanishing_sum_keeps_the_lowest_horizon(self):
+        # the chain drops lost * 1 once 1 * 1 follows it and ends on the
+        # clean zero of 1 - 1; the dot keeps the horizon N - 10 of lost
+        f = make_field(3, 3, 1, 32)
+        deep = f.uniformizer() ** -10
+        lost, one = deep - deep, f.one()
+        terms = [(lost, one, False), (one, one, False), (one, one, True)]
+        assert sequential_dot(f, terms).shift == 0
+        assert f.dot(terms).shift == -10
+        assert f.dot(terms[::-1]).shift == sequential_dot(f, terms[::-1]).shift == -10

@@ -19,6 +19,7 @@ GRID = [
     (5, 5, 2, 3, 32, 4),
     (3, 3, 2, 2, 32, 2),
     (5, 5, 2, 2, 1024, 4),
+    (7, 7, 2, 6, 36, 6),
 ]
 
 # Fields whose residue field has no (q+1)-th roots of unity: nothing in
@@ -46,6 +47,9 @@ GOLDEN = {
     (5, 5, 2, 2, 1024, 4): (
         "902525e555368b8f5a3ed698558af5d765cfe302f11264c5df340af907cf8722",
         "ec4202b3e6b8273b0035c5fac0fd9ef3b0e0c11d74bc15a37192667e8b6b5056"),
+    (7, 7, 2, 6, 36, 6): (
+        "6fb712b09111b7152ed657d4d083200eb393d81d9e4c3a24c3f160d1be027839",
+        "2de7bee040da0424d2591cf5c215e1dd5266d501c221b9283403e52cd06e1759"),
 }
 
 
