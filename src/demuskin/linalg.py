@@ -14,8 +14,13 @@ refuse to guess when an elementary divisor lands in the ambiguity band
 span membership share one elimination sweep, `_kernel_rectangular`: a rank
 is the column count minus the kernel dimension.  Determinants expand
 division-free (memoized Laplace over column subsets), so they never consume
-precision; inverses go through `adjugate` for the same reason, with one
-division by the determinant.
+precision.  `adjugate` takes det and all n^2 cofactors from one memo table:
+the cofactors of row i expand the other rows in order, and a minor of k
+columns spans the last k rows, the same rows as in the full expansion when
+k <= n-1-i.  Masks range over the original columns, so every minor is the
+same dot, with the same terms, signs and order, as an expansion of the
+cofactor's own submatrix.  `mat_inv` divides the adjugate by the
+determinant once.
 
 Each Laplace minor and each entry of a matrix product is one fused dot,
 `_dot`: its products are summed packed and reduced once per product shift
@@ -47,14 +52,15 @@ class SingularMatrixError(NotInvertibleError):
 class Mat:
     """Square matrix over one field, with entries in one ring over it:
     LocalElements or Polys.  The entry ring is read off the entries.
-    Immutable, so `charpoly` keeps its result on the matrix."""
+    Immutable, so `det` and `charpoly` keep their results on the matrix."""
 
-    __slots__ = ("field", "n", "rows", "_charpoly")
+    __slots__ = ("field", "n", "rows", "_det", "_charpoly")
 
     def __init__(self, field: FieldDescriptor, rows):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
+        self._det = None
         self._charpoly = None
         for r in self.rows:
             if len(r) != self.n:
@@ -203,20 +209,29 @@ def _nonzero_coeffs(x):
 
 
 def det(M: Mat):
-    return _det_expand(M.rows, *M._ring())
+    """Determinant, expanded once per matrix."""
+    if M._det is None:
+        M._det = _det_expand(M.rows, *M._ring())
+    return M._det
 
 
 def adjugate(M: Mat) -> Mat:
     """Transposed cofactor matrix, so M * adjugate(M) = det(M) I; computed
-    division-free over either entry ring."""
+    division-free over either entry ring, and det(M) with it.
+
+    The cofactors of row i share one memo over the other rows, seeded with
+    the minors of the full expansion whose rows all lie below i."""
     n = M.n
     one, zero = M._ring()
+    top = (1 << n) - 1
+    full = {0: one}
+    M._det = _det_minor(M.rows, 0, top, zero, full)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
+        rows = M.rows[:i] + M.rows[i + 1:]
+        memo = {m: v for m, v in full.items() if m.bit_count() <= n - 1 - i}
         for j in range(n):
-            sub = [[M.rows[r][c] for c in range(n) if c != j]
-                   for r in range(n) if r != i]
-            cof = _det_expand(sub, one, zero)
+            cof = _det_minor(rows, 0, top ^ (1 << j), zero, memo)
             out[j][i] = -cof if (i + j) % 2 else cof
     return Mat(M.field, out)
 
@@ -224,10 +239,11 @@ def adjugate(M: Mat) -> Mat:
 def mat_inv(M: Mat) -> Mat:
     """Inverse over F via adjugate / determinant (exact when det is a unit;
     for non-unit determinants the pole goes into the shifts)."""
+    adj = adjugate(M)
     d = det(M)
     if d.is_zero():
         raise SingularMatrixError("singular at working precision")
-    return adjugate(M).scale(d.inv())
+    return adj.scale(d.inv())
 
 
 class Poly:

@@ -1,6 +1,6 @@
 """Properties of Mat over both entry rings: LocalElements and Polys."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from demuskin.localring import make_field
 from demuskin.linalg import Mat, Poly, _det_expand, adjugate, charpoly, det
@@ -69,3 +69,76 @@ def test_power_equals_repeated_product(m):
     for k in range(8):
         assert m ** k == acc
         acc = acc * m
+
+
+def cofactor_reference(m):
+    """adjugate(m) by one Laplace expansion of each cofactor's submatrix."""
+    n = m.n
+    one, zero = m._ring()
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[m.rows[r][c] for c in range(n) if c != j]
+                   for r in range(n) if r != i]
+            cof = _det_expand(sub, one, zero)
+            out[j][i] = -cof if (i + j) % 2 else cof
+    return out
+
+
+def layout(x):
+    """(shift, digits) of each coefficient: equality digit for digit, the
+    guard band included, not only at N."""
+    return [(c.shift, c.digits) for c in (x.coeffs if isinstance(x, Poly) else (x,))]
+
+
+PI = F.uniformizer()
+units = st.integers(min_value=1, max_value=5 ** 16 - 1).filter(lambda k: k % 5)
+
+
+@st.composite
+def entry(draw):
+    """A small integer, a unit times pi^0..3, zero (which Laplace skips), a
+    degraded zero pi^-k - pi^-k, or a unit times pi^-k, which puts a pole
+    in the determinant."""
+    kind = draw(st.sampled_from(["int", "unit", "zero", "zero", "lost", "pole"]))
+    if kind == "int":
+        return F.from_int(draw(small_int))
+    if kind == "zero":
+        return F.zero()
+    if kind == "lost":
+        deep = PI ** -draw(st.integers(min_value=1, max_value=F.N))
+        return deep - deep
+    k = draw(st.integers(min_value=0, max_value=3))
+    return F.from_int(draw(units)) * PI ** (-k if kind == "pole" else k)
+
+
+@st.composite
+def entry_mat(draw):
+    """An n x n Mat, n <= 5, whose entries are `entry`s or Polys of one to
+    three of them."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    cell = entry()
+    if draw(st.booleans()):
+        cell = st.lists(cell, min_size=1, max_size=3).map(lambda cs: Poly(F, cs))
+    return Mat(F, draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                min_size=n, max_size=n)))
+
+
+LOST = PI ** -3 - PI ** -3
+SPARSE = local_mat([[1, 0, 0, 2, 0], [0, 3, 0, 0, 1], [4, 0, 1, 0, 0],
+                    [0, 0, 2, 1, 0], [0, 1, 0, 0, 3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry_mat())
+@example(SPARSE)
+@example(Mat(F, [[F.one(), LOST, PI], [LOST, F.one(), F.zero()], [PI, PI, LOST]]))
+@example(Mat(F, [[PI.inv(), F.one()], [F.one(), PI.inv()]]))
+@example(Mat(F, [[Poly(F, (F.one(), PI.inv())), Poly.const(F, LOST)],
+                 [Poly.const(F, F.zero()), Poly(F, (PI, F.zero(), F.one()))]]))
+def test_adjugate_is_the_per_cofactor_expansion_digit_for_digit(m):
+    adj = adjugate(m)
+    want = cofactor_reference(m)
+    assert [[layout(x) for x in r] for r in adj.rows] == \
+        [[layout(x) for x in r] for r in want]
+    assert layout(det(m)) == layout(_det_expand(m.rows, *m._ring()))

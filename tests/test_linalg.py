@@ -477,6 +477,45 @@ class TestOneReductionPerEntry:
         assert len(reduce_calls) == 11  # one per product: 28
 
 
+@pytest.fixture
+def dot_calls(monkeypatch):
+    """List that grows by one per FieldDescriptor.dot call."""
+    calls = []
+    original = FieldDescriptor.dot
+
+    def counted(self, terms):
+        calls.append(terms)
+        return original(self, terms)
+
+    monkeypatch.setattr(FieldDescriptor, "dot", counted)
+    return calls
+
+
+class TestOneLaplaceMemo:
+    """det and every cofactor come from one memo table: one dot per minor
+    of the full expansion, plus, for each row i, the minors of the rows
+    above i that only its cofactors need."""
+
+    @pytest.mark.parametrize("n,dots", [(4, 43), (6, 249)])
+    def test_dense_inverse(self, dot_calls, n, dots):
+        # n = 4: the 15 minors of the full expansion, then 4 + 10 + 14 for
+        # rows 1 to 3 (one expansion per cofactor: 127); n = 6: 63, then
+        # 6 + 21 + 41 + 56 + 62 (one expansion per cofactor: 1,179)
+        f = make_field(7, 7, 2, 36)
+        m = unit_matrix(random.Random(n), f, n)
+        dot_calls.clear()
+        mat_inv(m)
+        assert len(dot_calls) == dots
+
+    def test_det_after_inverse_is_not_expanded_again(self, dot_calls):
+        f = make_field(7, 7, 2, 36)
+        m = unit_matrix(random.Random(5), f, 3)
+        inv = mat_inv(m)
+        dot_calls.clear()
+        assert det(m) * det(inv) == f.one()
+        assert len(dot_calls) == 7  # det(inv) alone: 3 + 3 + 1 minors
+
+
 def _apply(m, v):
     return [sum((a * b for a, b in zip(row, v)), m.field.zero()) for row in m.rows]
 

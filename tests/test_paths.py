@@ -19,6 +19,8 @@ GRID = [
     (5, 5, 2, 3, 32, 4),
     (3, 3, 2, 2, 32, 2),
     (5, 5, 2, 2, 1024, 4),
+    (7, 7, 2, 4, 36, 6),
+    (7, 7, 2, 5, 36, 6),
     (7, 7, 2, 6, 36, 6),
 ]
 
@@ -47,6 +49,12 @@ GOLDEN = {
     (5, 5, 2, 2, 1024, 4): (
         "902525e555368b8f5a3ed698558af5d765cfe302f11264c5df340af907cf8722",
         "ec4202b3e6b8273b0035c5fac0fd9ef3b0e0c11d74bc15a37192667e8b6b5056"),
+    (7, 7, 2, 4, 36, 6): (
+        "df6ec9074609eb2fbba3c77d77828f741273b3b2ae5eddd08c9c0cb3082caf33",
+        "6cab89360e2270a58c5d07f00a4ec9c7a35bdcab3548a6abd28f0309c96ec867"),
+    (7, 7, 2, 5, 36, 6): (
+        "dc819d93612ca18e8bc3bedafc3f12f69289211892b111aeed864fc6a7c9ca27",
+        "63bc16245b7bf7200d4f110a9f6fbd5ef75b0b7ca8b64fa42e4e91a14697bd90"),
     (7, 7, 2, 6, 36, 6): (
         "6fb712b09111b7152ed657d4d083200eb393d81d9e4c3a24c3f160d1be027839",
         "2de7bee040da0424d2591cf5c215e1dd5266d501c221b9283403e52cd06e1759"),
@@ -96,6 +104,25 @@ def test_verifier_checks_each_relation_once(monkeypatch):
     monkeypatch.setattr(paths, "check_relation", counted)
     assert verify_certificate(cert).passed
     assert calls == [cert.start, cert.end]
+
+
+def test_verifier_expands_the_start_determinant_once(monkeypatch):
+    """det(M_1) of the start point is expanded once, for its label, and
+    read from the matrix where clause d starts the determinant chain."""
+    text = json.dumps(grid_certificate(*GRID[1]).to_json())
+    cert = PathCertificate.from_json(json.loads(text))
+    rows = cert.start.matrices[0].rows
+    calls = []
+    original = linalg._det_minor
+
+    def counted(rows_, r, mask, zero, memo):
+        if rows_ is rows and r == 0:
+            calls.append(mask)
+        return original(rows_, r, mask, zero, memo)
+
+    monkeypatch.setattr(linalg, "_det_minor", counted)
+    assert verify_certificate(cert).passed
+    assert calls == [(1 << len(rows)) - 1]
 
 
 def test_parsed_certificate_shares_the_builders_field():
