@@ -27,7 +27,15 @@ from .localring import (
     mu_q_index,
     reduce_mod_m,
 )
-from .linalg import Mat, PrecisionExhaustedError, charpoly, deflate, det, mat_inv
+from .linalg import (
+    Mat,
+    PrecisionExhaustedError,
+    adjugate,
+    charpoly,
+    deflate,
+    det,
+    mat_inv,
+)
 
 
 class RelationViolatedError(LocalFieldError):
@@ -166,29 +174,31 @@ def label_for_index(field: FieldDescriptor, index: int) -> ComponentLabel:
 
 
 def relation_residual(params: DeformationParams, mats):
-    """Min entry valuation of the relation word minus I, for `Mat`s over
+    """Min entry valuation of the relation word W minus I, for `Mat`s over
     LocalElements (a point) or over `Poly`s (a path, identically in t).
     math.inf means the relation holds at working precision (always for q = 1).
 
-    With identity matrices past M_2 the word minus I is
-    (M_1^(q+1) M_2 - M_2 M_1) (M_2 M_1)^-1, and the cleared left factor is
-    used: it needs no inverse, and on points M_2 M_1 lies in GL_n(O_F)
-    (every M_i is congruent to I mod m), so both have the same valuation.
-    Otherwise the full word is built with `mat_inv`, skipping identity
-    pairs; over `Poly` that raises NotInvertibleError unless each inverted
-    determinant is a unit constant in t.
+    No inverse is taken.  With C = [M_3,M_4]...[M_{d+1},M_{d+2}],
+    (W - I) C^-1 M_2 M_1 = M_1^(q+1) M_2 - C^-1 M_2 M_1, and
+    [a,b]^-1 = b a adj(b) adj(a) / (det a det b), so the valuation read is
+    that of D M_1^(q+1) M_2 - P M_2 M_1, with P the product of the
+    b a adj(b) adj(a), last pair first, and D that of the det a det b; a
+    pair with an identity member is skipped, as its commutator is I.  With
+    identity partners this is M_1^(q+1) M_2 - M_2 M_1.  On points every M_i is congruent to I mod
+    m, so the right factor C^-1 M_2 M_1 lies in GL_n(O_F) and D is a unit:
+    the valuation is that of W - I.  Over `Poly` it is math.inf exactly when
+    the relation holds identically in t.
     """
     q = params.q
     if q == 1:
         return math.inf
     m1, m2 = mats[0], mats[1]
-    if all(m.is_identity() for m in mats[2:]):
-        return (m1 ** (q + 1) * m2 - m2 * m1).min_entry_valuation()
-    word = m1 ** (q + 1) * m2 * mat_inv(m1) * mat_inv(m2)
+    lhs, rhs = m1 ** (q + 1) * m2, m2 * m1
     for a, b in zip(mats[2::2], mats[3::2]):
-        if not (a.is_identity() and b.is_identity()):
-            word = word * (a * b * mat_inv(a) * mat_inv(b))
-    return (word - Mat.identity(params.field, params.n)).min_entry_valuation()
+        if not (a.is_identity() or b.is_identity()):
+            rhs = b * a * adjugate(b) * adjugate(a) * rhs
+            lhs = lhs.scale(det(a) * det(b))
+    return (lhs - rhs).min_entry_valuation()
 
 
 def check_relation(pt: DeformationPoint):

@@ -3,10 +3,12 @@
 `Mat` is ring-generic: its entries are LocalElements or `Poly`s over one
 field, and products, powers, determinants and adjugates work the same way
 over both (in sums and products a LocalElement acts as a constant
-polynomial).  The path verifier uses it over `Poly` to check relations
-identically in t.  `Poly.inv` inverts a polynomial that is a unit
-constant in t at tau, so `mat_inv` works over `Poly` when the determinant
-is one; otherwise it raises NotInvertibleError.
+polynomial).  The path verifier uses it over `Poly` to check the relation
+word W identically in t, in a cleared form built from products, adjugates
+and determinants only: W - I times a matrix and a scalar that are
+invertible at every point of a path in 1 + M_n(m), so its valuation is
+that of W - I, and no polynomial is inverted.  `mat_inv` is for
+LocalElement entries.
 
 Everything here is threshold-aware: rank, kernels and eigenspace stages
 refuse to guess when an elementary divisor lands in the ambiguity band
@@ -14,12 +16,12 @@ refuse to guess when an elementary divisor lands in the ambiguity band
 span membership share one elimination sweep, `_kernel_rectangular`: a rank
 is the column count minus the kernel dimension.  Determinants expand
 division-free (memoized Laplace over column subsets), so they never consume
-precision.  `adjugate` takes det and all n^2 cofactors from one memo table:
-the cofactors of row i expand the other rows in order, and a minor of k
-columns spans the last k rows, the same rows as in the full expansion when
-k <= n-1-i.  Masks range over the original columns, so every minor is the
-same dot, with the same terms, signs and order, as an expansion of the
-cofactor's own submatrix.  `mat_inv` divides the adjugate by the
+precision.  Each matrix keeps its Laplace memo table, and `adjugate` takes
+all n^2 cofactors from it: the cofactors of row i expand the other rows in
+order, and a minor of k columns spans the last k rows, the same rows as in
+the full expansion when k <= n-1-i.  Masks range over the original
+columns, so every minor is the same dot, with the same terms, signs and
+order, as an expansion of the cofactor's own submatrix.  `mat_inv` divides the adjugate by the
 determinant once.
 
 Each Laplace minor and each entry of a matrix product is one fused dot,
@@ -52,15 +54,16 @@ class SingularMatrixError(NotInvertibleError):
 class Mat:
     """Square matrix over one field, with entries in one ring over it:
     LocalElements or Polys.  The entry ring is read off the entries.
-    Immutable, so `det` and `charpoly` keep their results on the matrix."""
+    Immutable, so `det` keeps its Laplace memo table and `charpoly` its
+    result on the matrix."""
 
-    __slots__ = ("field", "n", "rows", "_det", "_charpoly")
+    __slots__ = ("field", "n", "rows", "_minors", "_charpoly")
 
     def __init__(self, field: FieldDescriptor, rows):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
-        self._det = None
+        self._minors = None
         self._charpoly = None
         for r in self.rows:
             if len(r) != self.n:
@@ -155,17 +158,12 @@ class Mat:
         return Mat(field, [[LocalElement.from_json(field, e) for e in r] for r in blob])
 
 
-def _det_expand(rows, one, zero):
-    """Division-free determinant: Laplace expansion by rows, memoized over
-    active-column bitmasks, for entries of either ring of `Mat`."""
-    return _det_minor(rows, 0, (1 << len(rows)) - 1, zero, {0: one})
-
-
 def _det_minor(rows, r, mask, zero, memo):
     """Determinant of rows r.. restricted to the columns in mask, as one
-    fused dot over the nonzero entries of row r.  A module-level function,
-    not a closure, so that no reference cycle keeps the memo table alive
-    after the expansion returns."""
+    fused dot over the nonzero entries of row r: division-free Laplace
+    expansion by rows, memoized over active-column bitmasks, for entries of
+    either ring of `Mat`.  A module-level function, not a closure, so that
+    no reference cycle keeps the memo table alive longer than its owner."""
     hit = memo.get(mask)
     if hit is not None:
         return hit
@@ -209,27 +207,30 @@ def _nonzero_coeffs(x):
 
 
 def det(M: Mat):
-    """Determinant, expanded once per matrix."""
-    if M._det is None:
-        M._det = _det_expand(M.rows, *M._ring())
-    return M._det
+    """Determinant, the top entry of the matrix's Laplace memo table, which
+    is expanded once per matrix."""
+    top = (1 << M.n) - 1
+    if M._minors is None:
+        one, zero = M._ring()
+        M._minors = {0: one}
+        _det_minor(M.rows, 0, top, zero, M._minors)
+    return M._minors[top]
 
 
 def adjugate(M: Mat) -> Mat:
     """Transposed cofactor matrix, so M * adjugate(M) = det(M) I; computed
-    division-free over either entry ring, and det(M) with it.
+    division-free over either entry ring.
 
     The cofactors of row i share one memo over the other rows, seeded with
     the minors of the full expansion whose rows all lie below i."""
     n = M.n
-    one, zero = M._ring()
+    zero = M._ring()[1]
     top = (1 << n) - 1
-    full = {0: one}
-    M._det = _det_minor(M.rows, 0, top, zero, full)
+    det(M)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         rows = M.rows[:i] + M.rows[i + 1:]
-        memo = {m: v for m, v in full.items() if m.bit_count() <= n - 1 - i}
+        memo = {m: v for m, v in M._minors.items() if m.bit_count() <= n - 1 - i}
         for j in range(n):
             cof = _det_minor(rows, 0, top ^ (1 << j), zero, memo)
             out[j][i] = -cof if (i + j) % 2 else cof
@@ -237,8 +238,9 @@ def adjugate(M: Mat) -> Mat:
 
 
 def mat_inv(M: Mat) -> Mat:
-    """Inverse over F via adjugate / determinant (exact when det is a unit;
-    for non-unit determinants the pole goes into the shifts)."""
+    """Inverse over F of a matrix of LocalElements via adjugate /
+    determinant (exact when det is a unit; for non-unit determinants the
+    pole goes into the shifts)."""
     adj = adjugate(M)
     d = det(M)
     if d.is_zero():
@@ -303,16 +305,6 @@ class Poly:
         return _dot(self.field, [(self, other, False)])
 
     __rmul__ = __mul__
-
-    def inv(self):
-        """Inverse of a polynomial that is a unit constant at the field's
-        threshold tau: a unit c_0 plus t-terms at valuation >= tau, which
-        are dropped.  Anything else has no inverse among polynomials."""
-        c0 = self.coeffs[0]
-        if c0.valuation() != 0 or any(
-                c.valuation() < self.field.tau for c in self.coeffs[1:]):
-            raise NotInvertibleError("no polynomial inverse: not a unit constant in t")
-        return Poly.const(self.field, c0.inv())
 
     def __call__(self, x: LocalElement) -> LocalElement:
         return horner(self.coeffs, x)

@@ -393,11 +393,14 @@ class FieldDescriptor:
         lowest knowledge horizon (smallest shift) among the sum and the
         vanishing products, the zero that `+` keeps of two; the chain can
         end on a higher one, since it drops a vanished partial sum that a
-        nonvanishing product follows.  The products of one shift are summed
-        packed and reduced once (per DOT_TERMS products); a factor pi^k adds
-        its partner's packed digits with no bigint product, and a shift with
-        a single product takes the ordinary multiply.  The sums of the
-        shifts are joined with `+`."""
+        nonvanishing product follows.  A sum that vanishes with digits left
+        (at shift N or more) holds lift digits only, and counts as the clean
+        zero, on which the chain can end by an exact cancellation after such
+        a drop.  The products of one shift are summed packed and reduced once
+        (per DOT_TERMS products); a factor pi^k adds its partner's packed
+        digits with no bigint product, and a shift with a single product
+        takes the ordinary multiply.  The sums of the shifts are joined
+        with `+`."""
         N = self.N
         groups = {}
         low = None
@@ -424,6 +427,8 @@ class FieldDescriptor:
             else:
                 v = self.element(s, self._dot_digits(g))
             total = v if total is None else total + v
+        if total is not None and total.is_zero() and total.shift > 0:
+            total = self._zero
         if low is not None and (total is None or total.is_zero()):
             v = low[1] * low[2]
             total = v if total is None else total + v

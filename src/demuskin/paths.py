@@ -16,12 +16,14 @@ Verification is a separate code path from construction: it re-derives
 everything from the stored segment data and reports per-segment,
 per-clause results (clauses a-e below).  A polynomial segment is checked
 as one `Mat` over `Poly` per slot by `relation_residual`, the function
-that checks points.  With identity slots past M_2 it reads the cleared
-form M_1^(q+1) M_2 - M_2 M_1, which needs no inverse: the contract
-segment's M_2(t) = diag(1 + t m_i) has a determinant that varies in t and
-no inverse over O_F[t].  Otherwise it expands the full word in t with
-`mat_inv`, which needs every inverted slot's determinant to be a unit
-constant in t.
+that checks points.  It takes no inverse: it reads the relation word W
+as (W - I) C^-1 M_2 M_1 times D, with C the product of the partner
+commutators and D that of the partner determinants, built from products,
+adjugates and determinants alone.  That form vanishes identically in t
+exactly when W - I does, and at every point of a path in 1 + M_n(m) both
+factors are invertible over O_F, so its valuation there is that of W - I.
+Slot determinants may vary in t, as the contract segment's
+M_2(t) = diag(1 + t m_i) does.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field as dc_field
 from .localring import (
     LocalElement,
     LocalFieldError,
-    NotInvertibleError,
     SquareRootError,
     enumerate_mu_q,
     hensel_sqrt,
@@ -390,20 +391,10 @@ def normalize_and_cite(diag_pt: DeformationPoint, label: ComponentLabel) -> Path
     f = params.field
     n = params.n
     ident = Mat.identity(f, n)
-    for m in diag_pt.matrices[1:]:
-        if not m.eq_at(ident):
-            raise PreconditionError("input point must have identity partners")
-    m1 = diag_pt.matrices[0]
-    labels = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and m1.rows[i][j].valuation() < f.tau:
-                raise PreconditionError("first matrix is not diagonal at threshold")
-        try:
-            labels.append(mu_q_index(m1.rows[i][i]))
-        except LocalFieldError:
-            raise PreconditionError(
-                "diagonal entries must be q-th roots of unity") from None
+    labels = _diagonal_labels(diag_pt)
+    if labels is None:
+        raise PreconditionError("input point must have identity partners and "
+                                "a diagonal first matrix of q-th roots of unity")
     total = sum(labels) % params.q
     if total != label.index:
         raise PreconditionError("label does not match the diagonal product")
@@ -427,6 +418,24 @@ def normalize_and_cite(diag_pt: DeformationPoint, label: ComponentLabel) -> Path
         cur_labels = merged
     end = canonical_point(params, total)
     return PathCertificate(diag_pt, tuple(segs), end, label)
+
+
+def _diagonal_labels(pt: DeformationPoint):
+    """Label indices of the diagonal entries of M_1, when the point has
+    identity partners and M_1 is diagonal at threshold with entries in
+    mu_q; None otherwise."""
+    f = pt.params.field
+    n = pt.params.n
+    ident = Mat.identity(f, n)
+    m1 = pt.matrices[0]
+    if not (all(m.eq_at(ident) for m in pt.matrices[1:])
+            and all(m1.rows[i][j].valuation() >= f.tau
+                    for i in range(n) for j in range(n) if i != j)):
+        return None
+    try:
+        return [mu_q_index(m1.rows[i][i]) for i in range(n)]
+    except LocalFieldError:
+        return None
 
 
 def extend_to_canonical(cert: PathCertificate) -> PathCertificate:
@@ -553,12 +562,7 @@ def _verify_polynomial(rep, idx, seg, cur, cur_det, params):
     start = seg.eval(params, f.one())
     rep.add(idx, "c", start.eq_at(cur), "path at t=1 matches the chain")
     slots = [Mat(f, slot) for slot in seg.slots]
-    try:
-        residual = relation_residual(params, slots)
-    except NotInvertibleError:
-        rep.add(idx, "b", False,
-                "slot determinant varies in t; no polynomial inverse")
-        return cur, cur_det
+    residual = relation_residual(params, slots)
     rep.add(idx, "b", residual >= tau,
             f"relation holds identically in t (residual {residual})")
     d1 = det(slots[0])
@@ -571,29 +575,13 @@ def _verify_polynomial(rep, idx, seg, cur, cur_det, params):
 
 
 def _verify_cited(rep, idx, seg, cur, cur_det, params):
-    f = params.field
     ok_stmt = (seg.statement_id == BJ_STATEMENT_ID and seg.source == BJ_SOURCE)
     rep.add(idx, "e", ok_stmt, "admissible citation")
-    shape_ok = True
-    prod = [0, 0]
-    for which, point in enumerate((seg.start, seg.end)):
-        m1 = point.matrices[0]
-        ident = Mat.identity(f, params.n)
-        if not all(m.eq_at(ident) for m in point.matrices[1:]):
-            shape_ok = False
-            continue
-        total = 0
-        for i in range(params.n):
-            for j in range(params.n):
-                if i != j and m1.rows[i][j].valuation() < f.tau:
-                    shape_ok = False
-            try:
-                total += mu_q_index(m1.rows[i][i])
-            except LocalFieldError:
-                shape_ok = False
-        prod[which] = total % max(params.q, 1)
+    labels = [_diagonal_labels(seg.start), _diagonal_labels(seg.end)]
+    shape_ok = None not in labels
     rep.add(idx, "e", shape_ok, "endpoints are diagonal root-of-unity points")
     if shape_ok:
-        rep.add(idx, "e", prod[0] == prod[1], "label product preserved")
+        rep.add(idx, "e", sum(labels[0]) % params.q == sum(labels[1]) % params.q,
+                "label product preserved")
     rep.add(idx, "c", seg.start.eq_at(cur), "cited start matches the chain")
     return seg.end, det(seg.end.matrices[0])

@@ -507,6 +507,16 @@ class TestOneLaplaceMemo:
         mat_inv(m)
         assert len(dot_calls) == dots
 
+    def test_inverse_after_det_is_not_expanded_again(self, dot_calls):
+        # the adjugate seeds its row memos from the table det left on the
+        # matrix: 15 + 28 dots, as for mat_inv alone (expanded twice: 58)
+        f = make_field(7, 7, 2, 36)
+        m = unit_matrix(random.Random(4), f, 4)
+        dot_calls.clear()
+        det(m)
+        mat_inv(m)
+        assert len(dot_calls) == 43
+
     def test_det_after_inverse_is_not_expanded_again(self, dot_calls):
         f = make_field(7, 7, 2, 36)
         m = unit_matrix(random.Random(5), f, 3)

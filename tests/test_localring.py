@@ -557,6 +557,15 @@ class TestDot:
         terms = [(top, top, neg) for neg in negs]
         assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
 
+    def test_sum_vanishing_with_digits_left_is_the_clean_zero(self):
+        # 75 - 54 products pi^14 u^2 sum to valuation 16 = N; the chain
+        # drops its vanished partial sums and ends on an exact cancellation
+        f = make_field(3, 3, 3, 16)
+        top = LocalElement(f, 7, (f.pM - 1,) * (f.e * f.f0))
+        terms = [(top, top, 74 <= k <= 127) for k in range(129)]
+        assert sequential_dot(f, terms).shift == 0
+        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+
     def test_vanishing_sum_keeps_the_lowest_horizon(self):
         # the chain drops lost * 1 once 1 * 1 follows it and ends on the
         # clean zero of 1 - 1; the dot keeps the horizon N - 10 of lost

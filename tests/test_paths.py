@@ -6,11 +6,22 @@ import pytest
 
 from demuskin import deformation, linalg, paths
 from demuskin.localring import make_field
-from demuskin.deformation import DeformationParams, sample_point_on_V
+from demuskin.linalg import Mat
+from demuskin.deformation import (
+    DeformationParams,
+    DeformationPoint,
+    PreconditionError,
+    label_for_index,
+    sample_point_on_V,
+)
 from demuskin.paths import (
+    BJ_SOURCE,
+    BJ_STATEMENT_ID,
+    CitedEquivalence,
     PathCertificate,
     connect_to_diagonal,
     extend_to_canonical,
+    normalize_and_cite,
     verify_certificate,
 )
 
@@ -181,3 +192,51 @@ def test_connect_expands_the_characteristic_polynomial_once(monkeypatch):
     m1, zero = pt.matrices[0], params.field.zero()
     assert all(calls[0].rows[i][j](zero) == -m1.rows[i][j]
                for i in range(n) for j in range(n))
+
+
+# --- diagonal root-of-unity points: the input of the cited merges ---------------
+
+
+DIAG_PARAMS = DeformationParams(make_field(5, 5, 2, 32), d=4, n=2)
+DEFECTS = ["partner", "off-diagonal", "not-a-root"]
+
+
+def diagonal_point(defect=None):
+    """diag(zeta, 1) with identity partners, or that point with one defect
+    that makes it no diagonal root-of-unity point."""
+    f = DIAG_PARAMS.field
+    one, zero, pi = f.one(), f.zero(), f.uniformizer()
+    m1 = [[f.zeta(), zero], [zero, one]]
+    partner = Mat.identity(f, 2)
+    if defect == "partner":
+        partner = Mat(f, [[one, pi], [zero, one]])
+    elif defect == "off-diagonal":
+        m1[0][1] = pi
+    elif defect == "not-a-root":
+        m1[1][1] = one + pi * pi
+    return DeformationPoint(DIAG_PARAMS, [Mat(f, m1), partner]
+                            + [Mat.identity(f, 2)] * (DIAG_PARAMS.tuple_length - 2))
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_normalize_and_cite_needs_a_diagonal_root_of_unity_point(defect):
+    label = label_for_index(DIAG_PARAMS.field, 1)
+    assert normalize_and_cite(diagonal_point(), label).end.eq_at(diagonal_point())
+    with pytest.raises(PreconditionError):
+        normalize_and_cite(diagonal_point(defect), label)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("defect", [None] + DEFECTS)
+def test_cited_endpoints_must_be_diagonal_root_of_unity_points(defect, which):
+    ends = [diagonal_point(), diagonal_point()]
+    ends[which] = diagonal_point(defect)
+    seg = CitedEquivalence(BJ_STATEMENT_ID, BJ_SOURCE, *ends)
+    cert = PathCertificate(ends[0], (seg,), ends[1],
+                           label_for_index(DIAG_PARAMS.field, 1))
+    shape = "endpoints are diagonal root-of-unity points"
+    want = [(True, "admissible citation"), (defect is None, shape)]
+    if defect is None:
+        want.append((True, "label product preserved"))
+    assert [(e.ok, e.detail) for e in verify_certificate(cert).entries
+            if e.clause == "e"] == want
