@@ -25,12 +25,16 @@ from __future__ import annotations
 
 import math
 import weakref
+from operator import itemgetter
 
-# Most products `FieldDescriptor.dot` sums before one reduction; the full
-# packing layout has slot headroom for this many.  The longest dot the bench
-# workloads issue has 7 terms (a 6x6 product entry or Laplace minor, or one
-# coefficient of a Poly product); 128 covers n up to 128 at the same slot
-# width as 8 on their fields.  A longer dot is reduced in batches.
+# Most products `FieldDescriptor.dot` sums in one block before one
+# reduction; the full packing layout has slot headroom for this many.  A
+# product moved up by whole pi-rows still adds at most one coefficient to
+# each slot, so the count holds whatever the shifts in the block.  The
+# longest dot the bench workloads issue has 7 terms (a 6x6 product entry or
+# Laplace minor, or one coefficient of a Poly product); 128 covers n up to
+# 128 at the same slot width as 8 on their fields.  A longer block is
+# reduced in batches.
 DOT_TERMS = 128
 
 
@@ -209,8 +213,11 @@ class FieldDescriptor:
     slot per pi^i a^j, one bigint product, then a reduction (byte
     extraction, the unramified and Eisenstein folds, one mod pM).  The slots
     of the full layout have headroom for the sum of DOT_TERMS products, so
-    `dot` adds the products of one shift unreduced and reduces once.  For a
-    signed sum it adds a precomputed packed offset whose every slot is a
+    `dot` adds the products of a block of e consecutive shifts unreduced and
+    reduces once.  Multiplying by pi^b with b < e moves a packed product up
+    by b pi-rows, so a block sum has up to 3e - 2 rows, and the reduction
+    folds rows pi^e ... pi^(3e-3) with 2e - 2 precomputed rows.  For a
+    signed sum `dot` adds a precomputed packed offset whose every slot is a
     multiple of pM at least DOT_TERMS products deep: the slots stay
     nonnegative, so one to_bytes still splits them, and the offset vanishes
     in the final mod.
@@ -222,7 +229,7 @@ class FieldDescriptor:
     __slots__ = ("p", "q", "f0", "e", "N", "Nint", "M", "pM", "tau", "unram",
                  "eis", "_pired", "_ured", "_u0inv", "_mu_cache", "_one",
                  "_zero", "_inv2", "_winv", "_stride", "_lay", "_layouts",
-                 "_offset", "__weakref__")
+                 "_offsets", "__weakref__")
 
     def __init__(self, p, q, f0, N, tau):
         """Takes the parameters as make_field normalizes them: N a multiple
@@ -250,13 +257,15 @@ class FieldDescriptor:
 
     def _precompute(self):
         e, f0 = self.e, self.f0
-        # pi^(e+k) for k = 0..e-2 in the pi-basis; coefficients stay small
-        # signed integers (polynomials in the Eisenstein coefficients), which
-        # keeps the reduction multiplications small-by-big.
+        # pi^(e+k) for k = 0..2e-3 in the pi-basis: the rows of a product
+        # moved up by up to e - 1 pi-rows in a `dot` block.  Coefficients
+        # stay small signed integers (polynomials in the Eisenstein
+        # coefficients), which keeps the reduction multiplications
+        # small-by-big.
         rows = []
         cur = [-c for c in self.eis]
         rows.append(tuple(cur))
-        for _ in range(e - 2):
+        for _ in range(2 * e - 3):
             top = cur[e - 1]
             nxt = [top * rows[0][i] for i in range(e)]
             for i in range(1, e):
@@ -284,10 +293,13 @@ class FieldDescriptor:
         self._lay = self._layout(2 * self.M)
         # every product slot at the least multiple of pM above DOT_TERMS
         # products: a signed sum of up to DOT_TERMS products plus this stays
-        # inside [0, 2^(8 bb)) slot by slot, and reduces to the same digits
+        # inside [0, 2^(8 bb)) slot by slot, and reduces to the same digits.
+        # Offset b covers the 2e - 1 + b rows of products moved up by at
+        # most b pi-rows; its top slot stays nonzero in any such sum.
         pM, bb = self.pM, self._lay[1]
         slot = pM * -(-(DOT_TERMS * e * f0 * (pM - 1) ** 2) // pM)
-        self._offset = sum(slot << (8 * bb * k) for k in range((2 * e - 1) * self._stride))
+        self._offsets = tuple(sum(slot << (8 * bb * k) for k in range((2 * e - 1 + b) * self._stride))
+                              for b in range(e))
 
     # -- equality / hashing on the defining data --------------------------
 
@@ -307,20 +319,18 @@ class FieldDescriptor:
     # -- digit-level arithmetic (flat tuples, index i*f0+j <-> pi^i a^j) --
 
     def _layout(self, m):
-        """Kronecker packing layout (modulus p^m, slot bytes, product bytes)
-        for digits mod p^m: one byte-aligned slot per basis monomial, wide
-        enough to hold a full convolution coefficient without overlap.  The
-        full layout (m = 2M) is wider still: a slot holds DOT_TERMS such
-        coefficients plus the signed offset of `dot`.  Built once per m."""
+        """Kronecker packing layout (modulus p^m, slot bytes) for digits mod
+        p^m: one byte-aligned slot per basis monomial, wide enough to hold a
+        full convolution coefficient without overlap.  The full layout
+        (m = 2M) is wider still: a slot holds DOT_TERMS such coefficients
+        plus the signed offset of `dot`.  Built once per m."""
         lay = self._layouts.get(m)
         if lay is None:
             mod = self.p ** m
             top = self.e * self.f0 * (mod - 1) ** 2
             if m == 2 * self.M:
                 top = 2 * DOT_TERMS * top + mod
-            bb = (top.bit_length() + 8) // 8
-            zbytes = ((2 * self.e - 2) * self._stride + 2 * self.f0 - 1) * bb + 8
-            lay = self._layouts[m] = (mod, bb, zbytes)
+            lay = self._layouts[m] = (mod, (top.bit_length() + 8) // 8)
         return lay
 
     def _pack(self, x, lay=None):
@@ -338,18 +348,22 @@ class FieldDescriptor:
         return out
 
     def _reduce_packed(self, z, lay=None):
-        """Digits of a packed product, or of a packed sum of products: byte
-        extraction, then reduction by the small signed defining rows and one
-        mod.  The layout (default: the full one, mod pM) gives the modulus."""
-        pM, bb, zbytes = lay or self._lay
+        """Digits of a packed product, or of a packed sum of products moved
+        up by whole pi-rows: byte extraction, then reduction by the small
+        signed defining rows and one mod.  The layout (default: the full
+        one, mod pM) gives the modulus.  Only the pi-rows present in z are
+        read and folded, so z.bit_length() counts them; a `dot` offset has a
+        nonzero top slot, which makes that count its row count."""
+        pM, bb = lay or self._lay
         e, f0 = self.e, self.f0
         if e == 1 and f0 == 1:
             return (z % pM,)
-        S = self._stride
-        buf = z.to_bytes(zbytes, "little")
+        rowbytes = self._stride * bb
+        rows = max(e, -(-z.bit_length() // (8 * rowbytes)))
+        buf = z.to_bytes(rows * rowbytes, "little")
         fb = int.from_bytes
-        acc = [[fb(buf[(k * S + j) * bb:(k * S + j + 1) * bb], "little")
-                for j in range(2 * f0 - 1)] for k in range(2 * e - 1)]
+        acc = [[fb(buf[k * rowbytes + j * bb:k * rowbytes + (j + 1) * bb], "little")
+                for j in range(2 * f0 - 1)] for k in range(rows)]
         if f0 > 1:
             ured = self._ured
             for row in acc:
@@ -362,7 +376,7 @@ class FieldDescriptor:
                             if uc:
                                 row[j] += c * uc
         pired = self._pired
-        for k in range(2 * e - 2, e - 1, -1):
+        for k in range(rows - 1, e - 1, -1):
             row = acc[k]
             prow = pired[k - e]
             for j in range(f0):
@@ -385,8 +399,8 @@ class FieldDescriptor:
     def dot(self, terms):
         """Sum of the products x*y, each negated where neg is true, over the
         (x, y, neg) terms: equal at precision N to the chain acc = acc + x*y
-        (or - x*y), with one reduction per product shift instead of one per
-        product.
+        (or - x*y), with one reduction per block of e consecutive product
+        shifts instead of one per product.
 
         A product that vanishes at N is left out, as `+` leaves it out.  If
         the sum vanishes or nothing is left, the result is the zero with the
@@ -396,16 +410,19 @@ class FieldDescriptor:
         nonvanishing product follows.  A sum that vanishes with digits left
         (at shift N or more) holds lift digits only, and counts as the clean
         zero, on which the chain can end by an exact cancellation after such
-        a drop.  The products of one shift are summed packed and reduced once
-        (per DOT_TERMS products); a factor pi^k adds its partner's packed
-        digits with no bigint product, and a shift with a single product
-        takes the ordinary multiply.  The sums of the shifts are joined
-        with `+`."""
-        N = self.N
-        groups = {}
+        a drop.
+
+        The products are taken in order of shift.  A block starts at the
+        lowest shift s_b not yet placed and takes every product of shift
+        below s_b + e; a block with a single product takes the ordinary
+        multiply, and the sums of the blocks are joined with `+`.  A product
+        of shift s is exact mod pi^(s+Nint), so a block sum is exact mod
+        pi^(s_b+Nint), as the chain is: the digits at N agree whenever
+        s_b >= -N.  For e = 1 a block is one shift."""
+        N, e = self.N, self.e
+        live = []
         low = None
-        for t in terms:
-            x, y, _ = t
+        for x, y, neg in terms:
             s = x.shift + y.shift
             dx, dy = x.digits, y.digits
             if s >= N or not any(dx) or not any(dy):
@@ -414,19 +431,22 @@ class FieldDescriptor:
                 if low is None or h <= low[0]:
                     low = (h, x, y)
                 continue
-            g = groups.get(s)
-            if g is None:
-                groups[s] = [t]
-            else:
-                g.append(t)
+            live.append((s, x, y, neg))
+        live.sort(key=itemgetter(0))
         total = None
-        for s, g in groups.items():
-            if len(g) == 1:
-                x, y, neg = g[0]
+        k, n = 0, len(live)
+        while k < n:
+            end = live[k][0] + e
+            j = k + 1
+            while j < n and live[j][0] < end:
+                j += 1
+            if j == k + 1:
+                _, x, y, neg = live[k]
                 v = -(x * y) if neg else x * y
             else:
-                v = self.element(s, self._dot_digits(g))
+                v = self.element(live[k][0], self._dot_digits(live[k:j]))
             total = v if total is None else total + v
+            k = j
         if total is not None and total.is_zero() and total.shift > 0:
             total = self._zero
         if low is not None and (total is None or total.is_zero()):
@@ -435,20 +455,29 @@ class FieldDescriptor:
         return self._zero if total is None else total
 
     def _dot_digits(self, terms):
-        """Digit vector of the sum of +-x*y over nonvanishing terms of one
-        product shift: DOT_TERMS packed products at a time, each batch
-        reduced once."""
+        """Digit vector of the sum of +-pi^(s - s_b) x*y over the (s, x, y,
+        neg) terms of one block, sorted by shift s from s_b: DOT_TERMS
+        packed products at a time, each moved up by s - s_b pi-rows and
+        added to the offset that covers its rows, each batch reduced once
+        with s - s_b more fold rows.  The packed product is moved, not a
+        factor, so the bigint multiply keeps its size; a factor pi^k adds
+        its partner's packed digits with no bigint product."""
         one = self._one.digits
+        sb = terms[0][0]
+        rowbits = 8 * self._lay[1] * self._stride
         out = None
         for k in range(0, len(terms), DOT_TERMS):
-            z = self._offset
-            for x, y, neg in terms[k:k + DOT_TERMS]:
+            batch = terms[k:k + DOT_TERMS]
+            z = self._offsets[batch[-1][0] - sb]
+            for s, x, y, neg in batch:
                 if y.digits == one:
                     t = x._packed()
                 elif x.digits == one:
                     t = y._packed()
                 else:
                     t = x._packed() * y._packed()
+                if s != sb:
+                    t <<= rowbits * (s - sb)
                 if neg:
                     z -= t
                 else:
@@ -594,14 +623,17 @@ class FieldDescriptor:
         shift is the exact valuation.  (A strip of depth v leaves the digits
         below relative depth Nint - v exact.)  A vanished digit vector at
         negative shift keeps the shift, recording that the value is only
-        known to vanish mod pi^(shift+Nint)."""
+        known to vanish mod pi^(shift+Nint).  The stripped digits are a
+        unit, so the element keeps the valuation computed here."""
         v = self._dig_val(digits)
         if v is None:
             return self._zero if shift >= 0 else LocalElement(self, shift, digits)
         if v:
             digits = self._dig_strip(digits, v)
             shift += v
-        return LocalElement(self, shift, digits)
+        x = LocalElement(self, shift, digits)
+        x._val = shift
+        return x
 
     def zero(self):
         return self._zero

@@ -455,8 +455,20 @@ def unit_matrix(rng, field, n):
                         for _ in range(n)] for _ in range(n)])
 
 
+def one_plus_m_matrix(rng, field, n, low, high):
+    """Random n x n matrix in 1 + M_n(m): 1 + pi*u on the diagonal, and off
+    it units at shifts drawn from [low, high], low >= 1."""
+    units = unit_matrix(rng, field, n)
+    return Mat(field, [[field.one() + LocalElement(field, 1, x.digits) if i == j
+                        else LocalElement(field, rng.randint(low, high), x.digits)
+                        for j, x in enumerate(row)] for i, row in enumerate(units.rows)])
+
+
 class TestOneReductionPerEntry:
-    """A sum of products of one shift is reduced once, not once per product."""
+    """The products of one matrix entry, Laplace minor or Poly coefficient
+    are reduced once per block of e consecutive shifts, not once per product
+    or per shift: a product moved up by b < e pi-rows is reduced with b more
+    fold rows."""
 
     def test_dense_product(self, reduce_calls):
         f = make_field(7, 7, 2, 36)
@@ -465,6 +477,16 @@ class TestOneReductionPerEntry:
         reduce_calls.clear()
         a * b
         assert len(reduce_calls) == 36  # one per product: 216
+
+    def test_product_in_one_plus_m(self, reduce_calls):
+        # an entry's products have shifts 0 and 2..4 on the diagonal and
+        # 1..4 off it, all within e = 6 of the entry's lowest shift
+        f = make_field(7, 7, 2, 36)
+        rng = random.Random(12)
+        a, b = one_plus_m_matrix(rng, f, 6, 1, 2), one_plus_m_matrix(rng, f, 6, 1, 2)
+        reduce_calls.clear()
+        a * b
+        assert len(reduce_calls) == 36  # one per shift: 121
 
     def test_dense_det(self, reduce_calls):
         # one reduction per minor of size 2, 3 and 4 (6 + 4 + 1), as every

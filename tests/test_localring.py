@@ -532,6 +532,16 @@ def dot_term(draw, f):
     return draw(dot_factor(f, sx)), draw(dot_factor(f, s - sx)), draw(st.booleans())
 
 
+@st.composite
+def block_term(draw, f, base):
+    """(x, y, neg) whose product shift, when both digit vectors are nonzero,
+    lies in [base, base + 2e]: the blocks of e shifts of a dot then hold
+    products at every row offset 0..e-1, and break between blocks."""
+    s = draw(st.integers(base, base + 2 * f.e))
+    sx = draw(st.integers(-f.N, 2 * f.N))
+    return draw(dot_factor(f, sx)), draw(dot_factor(f, s - sx)), draw(st.booleans())
+
+
 class TestDot:
     @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
     @STRIP_SETTINGS
@@ -555,6 +565,34 @@ class TestDot:
                                    st.lists(st.booleans(), min_size=n, max_size=n)))
         top = LocalElement(f, data.draw(st.integers(-f.N, f.N)), (f.pM - 1,) * (f.e * f.f0))
         terms = [(top, top, neg) for neg in negs]
+        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+
+    @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_nearby_shifts_equal_the_sequential_sum(self, f, data):
+        base = data.draw(st.integers(-f.N, f.N))
+        terms = data.draw(st.lists(block_term(f, base), min_size=2, max_size=12))
+        terms += [(x, y, not neg) for x, y, neg in terms if data.draw(st.booleans())]
+        terms = data.draw(st.permutations(terms))
+        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+
+    @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_full_slots_at_every_row_offset(self, f, data):
+        """All-(pM - 1) products at every shift of one block fill the slots
+        of every row the block moves them to; one product more starts a
+        second batch."""
+        n = data.draw(st.sampled_from([DOT_TERMS, DOT_TERMS + 1]))
+        negs = data.draw(st.one_of(st.just([False] * n), st.just([True] * n),
+                                   st.lists(st.booleans(), min_size=n, max_size=n)))
+        base = data.draw(st.integers(-f.N, f.N))
+        top = (f.pM - 1,) * (f.e * f.f0)
+        unit = LocalElement(f, 0, top)
+        terms = [(LocalElement(f, base + k % f.e, top), unit, neg)
+                 for k, neg in enumerate(negs)]
+        terms = data.draw(st.permutations(terms))
         assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
 
     def test_sum_vanishing_with_digits_left_is_the_clean_zero(self):

@@ -1,0 +1,119 @@
+"""The ring operations of `demuskin.localring` against the naive model in
+`oracle.py`, at precision N.
+
+Every operand has a shift in [-N, 2N], and each product of two operands a
+shift of at least -N, so every result is known at N.  Multiplying through
+by pi^c, with c a multiple of e at least every pole order, makes the lifts
+of all operands integral; a result is then checked to agree with the model
+mod pi^(c'+N), where c' is the power of pi it carries, and its valuation to
+be the model's below N and math.inf from N on.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from demuskin.localring import LocalElement, make_field
+from oracle import Oracle
+
+ORACLE_FIELDS = [make_field(5, 5, 2, 32), make_field(3, 9, 2, 36), make_field(7, 7, 1, 24),
+                 make_field(3, 3, 3, 16), make_field(7, 7, 2, 36)]
+ORACLE_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def field_ids(f):
+    return f"p{f.p}q{f.q}f{f.f0}N{f.N}"
+
+
+@st.composite
+def element(draw, f, lowest=None):
+    """A unit, pi^k, all-(pM - 1) or arbitrary digit vector (stripped into
+    the shift), or zero, at a shift in [lowest, 2N] (default lowest -N)."""
+    shift = draw(st.integers(-f.N if lowest is None else lowest, 2 * f.N))
+    kind = draw(st.sampled_from(["unit", "unit", "pi", "top", "any", "zero"]))
+    if kind == "zero":
+        return f.zero()
+    if kind == "pi":
+        return LocalElement(f, shift, f._one.digits)
+    if kind == "top":
+        return LocalElement(f, shift, (f.pM - 1,) * (f.e * f.f0))
+    digits = draw(st.lists(st.integers(0, f.pM - 1), min_size=f.e * f.f0, max_size=f.e * f.f0))
+    if kind == "unit" and not any(c % f.p for c in digits[:f.f0]):
+        digits[0] += 1
+    return f.element(shift, tuple(digits))
+
+
+@st.composite
+def product_pair(draw, f):
+    """Two elements with shifts in [-N, 2N] whose product shift is at least
+    -N."""
+    x = draw(element(f))
+    return x, draw(element(f, lowest=max(-f.N, -f.N - x.shift)))
+
+
+def assert_agrees(model, r, want, c):
+    """r times pi^c equals want mod pi^(c+N), and r's valuation at N is
+    want's, less c."""
+    N = r.field.N
+    assert model.valuation(model.add(model.lift(r, c), model.neg(want))) >= c + N
+    v = model.valuation(want) - c
+    assert r.valuation() == (v if v < N else math.inf)
+
+
+@pytest.mark.parametrize("f", ORACLE_FIELDS, ids=field_ids)
+class TestAgainstOracle:
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_add_sub_neg(self, f, data):
+        x, y = data.draw(element(f)), data.draw(element(f))
+        c = f.N
+        model = Oracle(f, 2 * f.N)
+        mx, my = model.lift(x, c), model.lift(y, c)
+        assert_agrees(model, x + y, model.add(mx, my), c)
+        assert_agrees(model, x - y, model.add(mx, model.neg(my)), c)
+        assert_agrees(model, -x, model.neg(mx), c)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_mul(self, f, data):
+        x, y = data.draw(product_pair(f))
+        c = f.N
+        model = Oracle(f, 3 * f.N)
+        assert_agrees(model, x * y, model.mul(model.lift(x, c), model.lift(y, c)), 2 * c)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_dot(self, f, data):
+        pairs = data.draw(st.lists(product_pair(f), max_size=8))
+        terms = [(x, y, data.draw(st.booleans())) for x, y in pairs]
+        # exact cancellations: the negation of some drawn terms
+        terms += [(x, y, not neg) for x, y, neg in terms if data.draw(st.booleans())]
+        c = f.N
+        model = Oracle(f, 3 * f.N)
+        want = (0,) * (f.e * f.f0)
+        for x, y, neg in terms:
+            prod = model.mul(model.lift(x, c), model.lift(y, c))
+            want = model.add(want, model.neg(prod) if neg else prod)
+        assert_agrees(model, f.dot(terms), want, 2 * c)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_dot_of_nearby_shifts(self, f, data):
+        """Products whose shifts lie in [base, base + 2e] share the blocks
+        of e shifts that `dot` reduces at once."""
+        base = data.draw(st.integers(-f.N, f.N))
+        terms = []
+        for _ in range(data.draw(st.integers(2, 8))):
+            s = data.draw(st.integers(base, base + 2 * f.e))
+            sx = data.draw(st.integers(-f.N, 2 * f.N))
+            dx, dy = data.draw(element(f)).digits, data.draw(element(f)).digits
+            terms.append((LocalElement(f, sx, dx), LocalElement(f, s - sx, dy),
+                          data.draw(st.booleans())))
+        c = 3 * f.N
+        model = Oracle(f, 7 * f.N)
+        want = (0,) * (f.e * f.f0)
+        for x, y, neg in terms:
+            prod = model.mul(model.lift(x, c), model.lift(y, c))
+            want = model.add(want, model.neg(prod) if neg else prod)
+        assert_agrees(model, f.dot(terms), want, 2 * c)
