@@ -20,7 +20,6 @@ from .localring import (
     FieldDescriptor,
     LocalElement,
     LocalFieldError,
-    HenselBasinError,
     enumerate_mu_q,
     hensel_lift_unity,
     make_field,
@@ -46,10 +45,6 @@ class PreconditionError(LocalFieldError):
     """An operation was invoked outside its supported hypotheses."""
 
 
-def _phi(q: int, p: int) -> int:
-    return (q - q // p) if q >= 3 else 1
-
-
 @dataclass(frozen=True)
 class DeformationParams:
     """Shape data for the moduli problem: base field model, the degree d of
@@ -60,17 +55,15 @@ class DeformationParams:
     n: int
 
     def __post_init__(self):
-        q, p = self.field.q, self.field.p
         if self.n < 1:
             raise PreconditionError("matrix dimension must be at least 1")
         if self.d < 1:
             raise PreconditionError("ground field degree must be at least 1")
-        if q >= 3:
-            e = _phi(q, p)
-            if self.d < e:
+        if self.field.q >= 3:
+            if self.d < self.field.e:
                 raise PreconditionError(
                     f"d = {self.d} is too small: a ground field containing the "
-                    f"q-th roots of unity has degree at least phi(q) = {e}")
+                    f"q-th roots of unity has degree at least phi(q) = {self.field.e}")
             if self.d % 2:
                 raise PreconditionError("d must be even when q >= 3")
 
@@ -134,12 +127,9 @@ class DeformationPoint:
     def eq_at(self, other, threshold=None):
         return all(a.eq_at(b, threshold) for a, b in zip(self.matrices, other.matrices))
 
-    def to_json(self, meta=None):
-        blob = {"params": self.params.to_json(),
+    def to_json(self):
+        return {"params": self.params.to_json(),
                 "matrices": [m.to_json() for m in self.matrices]}
-        if meta:
-            blob["meta"] = meta
-        return blob
 
     @staticmethod
     def from_json(blob):
@@ -228,9 +218,8 @@ def label_at_residual(pt: DeformationPoint, residual) -> ComponentLabel:
         raise RelationViolatedError(
             "det(M_1) is not a q-th root of unity at threshold")
     try:
-        lifted = hensel_lift_unity(d1, params.q)
-        return ComponentLabel(mu_q_index(lifted), lifted)
-    except (HenselBasinError, LocalFieldError) as exc:
+        return label_for_index(f, mu_q_index(hensel_lift_unity(d1, params.q)))
+    except LocalFieldError as exc:
         raise PrecisionExhaustedError(
             f"could not resolve the component label: {exc}") from exc
 

@@ -25,10 +25,10 @@ order, as an expansion of the cofactor's own submatrix.  `mat_inv` divides the a
 determinant once.
 
 Each Laplace minor and each entry of a matrix product is one fused dot,
-`_dot`: its products are summed packed and reduced once per product shift
-(`FieldDescriptor.dot`) instead of once per product.  Over `Poly` the same
-dot runs once per output coefficient, and a product of two `Poly`s is a
-dot of one term.
+`_dot`: its products are summed packed and reduced once per block of e
+consecutive product shifts (`FieldDescriptor.dot`) instead of once per
+product.  Over `Poly` the same dot runs once per output coefficient, and a
+product of two `Poly`s is a dot of one term.
 """
 
 from __future__ import annotations

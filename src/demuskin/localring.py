@@ -211,14 +211,14 @@ class FieldDescriptor:
 
     Digit vectors multiply as Kronecker-packed integers: one byte-aligned
     slot per pi^i a^j, one bigint product, then a reduction (byte
-    extraction, the unramified and Eisenstein folds, one mod pM).  The slots
-    of the full layout have headroom for the sum of DOT_TERMS products, so
-    `dot` adds the products of a block of e consecutive shifts unreduced and
-    reduces once.  Multiplying by pi^b with b < e moves a packed product up
-    by b pi-rows, so a block sum has up to 3e - 2 rows, and the reduction
-    folds rows pi^e ... pi^(3e-3) with 2e - 2 precomputed rows.  For a
-    signed sum `dot` adds a precomputed packed offset whose every slot is a
-    multiple of pM at least DOT_TERMS products deep: the slots stay
+    extraction, then `_fold`, one mod pM).  The slots of the full layout
+    have headroom for the sum of DOT_TERMS products, so `dot` adds the
+    products of a block of e consecutive shifts unreduced and reduces once.
+    Multiplying by pi^b with b < e moves a packed product up by b pi-rows,
+    so a block sum has up to 3e - 2 rows; `_fold` takes any number of rows,
+    and a pi-shift of a digit vector is the same fold of the rows moved up.
+    For a signed sum `dot` adds a precomputed packed offset whose every slot
+    is a multiple of pM at least DOT_TERMS products deep: the slots stay
     nonnegative, so one to_bytes still splits them, and the offset vanishes
     in the final mod.
 
@@ -227,7 +227,7 @@ class FieldDescriptor:
     """
 
     __slots__ = ("p", "q", "f0", "e", "N", "Nint", "M", "pM", "tau", "unram",
-                 "eis", "_pired", "_ured", "_u0inv", "_mu_cache", "_one",
+                 "eis", "_u0inv", "_mu_cache", "_one",
                  "_zero", "_inv2", "_winv", "_stride", "_lay", "_layouts",
                  "_offsets", "__weakref__")
 
@@ -257,34 +257,6 @@ class FieldDescriptor:
 
     def _precompute(self):
         e, f0 = self.e, self.f0
-        # pi^(e+k) for k = 0..2e-3 in the pi-basis: the rows of a product
-        # moved up by up to e - 1 pi-rows in a `dot` block.  Coefficients
-        # stay small signed integers (polynomials in the Eisenstein
-        # coefficients), which keeps the reduction multiplications
-        # small-by-big.
-        rows = []
-        cur = [-c for c in self.eis]
-        rows.append(tuple(cur))
-        for _ in range(2 * e - 3):
-            top = cur[e - 1]
-            nxt = [top * rows[0][i] for i in range(e)]
-            for i in range(1, e):
-                nxt[i] += cur[i - 1]
-            rows.append(tuple(nxt))
-            cur = nxt
-        self._pired = tuple(rows)
-        urows = []
-        if f0 > 1:
-            cur = [-c for c in self.unram]
-            urows.append(tuple(cur))
-            for _ in range(f0 - 2):
-                top = cur[f0 - 1]
-                nxt = [top * urows[0][j] for j in range(f0)]
-                for j in range(1, f0):
-                    nxt[j] += cur[j - 1]
-                urows.append(tuple(nxt))
-                cur = nxt
-        self._ured = tuple(urows)
         c0 = self.eis[0]
         u0 = c0 // self.p
         self._u0inv = pow(u0, -1, self.pM)
@@ -295,7 +267,8 @@ class FieldDescriptor:
         # products: a signed sum of up to DOT_TERMS products plus this stays
         # inside [0, 2^(8 bb)) slot by slot, and reduces to the same digits.
         # Offset b covers the 2e - 1 + b rows of products moved up by at
-        # most b pi-rows; its top slot stays nonzero in any such sum.
+        # most b pi-rows; its top slot stays nonzero in any such sum, so the
+        # sum's bit length gives `_reduce_packed` its row count.
         pM, bb = self.pM, self._lay[1]
         slot = pM * -(-(DOT_TERMS * e * f0 * (pM - 1) ** 2) // pM)
         self._offsets = tuple(sum(slot << (8 * bb * k) for k in range((2 * e - 1 + b) * self._stride))
@@ -349,44 +322,43 @@ class FieldDescriptor:
 
     def _reduce_packed(self, z, lay=None):
         """Digits of a packed product, or of a packed sum of products moved
-        up by whole pi-rows: byte extraction, then reduction by the small
-        signed defining rows and one mod.  The layout (default: the full
-        one, mod pM) gives the modulus.  Only the pi-rows present in z are
-        read and folded, so z.bit_length() counts them; a `dot` offset has a
-        nonzero top slot, which makes that count its row count."""
-        pM, bb = lay or self._lay
-        e, f0 = self.e, self.f0
-        if e == 1 and f0 == 1:
-            return (z % pM,)
-        rowbytes = self._stride * bb
-        rows = max(e, -(-z.bit_length() // (8 * rowbytes)))
-        buf = z.to_bytes(rows * rowbytes, "little")
+        up by whole pi-rows: byte extraction, then `_fold` at the layout's
+        modulus (default: the full layout, mod pM).  Only the pi-rows
+        present in z are read, so z.bit_length() counts them; a `dot`
+        offset has a nonzero top slot, which makes that count its row
+        count."""
+        mod, bb = lay or self._lay
+        S = self._stride
+        rows = max(self.e, -(-z.bit_length() // (8 * S * bb)))
+        buf = z.to_bytes(rows * S * bb, "little")
         fb = int.from_bytes
-        acc = [[fb(buf[k * rowbytes + j * bb:k * rowbytes + (j + 1) * bb], "little")
-                for j in range(2 * f0 - 1)] for k in range(rows)]
-        if f0 > 1:
-            ured = self._ured
-            for row in acc:
-                for k in range(2 * f0 - 2, f0 - 1, -1):
-                    c = row[k]
-                    if c:
-                        urow = ured[k - f0]
-                        for j in range(f0):
-                            uc = urow[j]
-                            if uc:
-                                row[j] += c * uc
-        pired = self._pired
-        for k in range(rows - 1, e - 1, -1):
+        slots = [fb(buf[i:i + bb], "little") for i in range(0, len(buf), bb)]
+        return self._fold([slots[i:i + S] for i in range(0, len(slots), S)], mod)
+
+    def _fold(self, acc, mod):
+        """Digit vector mod `mod` of sum_k pi^k sum_j acc[k][j] a^j, for at
+        least e rows of at least f0 integers each, by schoolbook division by
+        the defining polynomials: top down, a^j for j >= f0 folds into
+        a^(j-f0) ... a^(j-1) by `unram` in every row, then pi^k for k >= e
+        into pi^(k-e) ... pi^(k-1) by `eis`.  The rows are changed in place;
+        one mod at the end."""
+        e, f0 = self.e, self.f0
+        ured = [(m, -u) for m, u in enumerate(self.unram) if u]
+        pired = [(i, -c) for i, c in enumerate(self.eis) if c]
+        for row in acc:
+            for j in range(len(row) - 1, f0 - 1, -1):
+                c = row[j]
+                if c:
+                    for m, u in ured:
+                        row[j - f0 + m] += c * u
+        for k in range(len(acc) - 1, e - 1, -1):
             row = acc[k]
-            prow = pired[k - e]
             for j in range(f0):
                 c = row[j]
                 if c:
-                    for i in range(e):
-                        pc = prow[i]
-                        if pc:
-                            acc[i][j] += c * pc
-        return tuple(acc[i][j] % pM for i in range(e) for j in range(f0))
+                    for i, u in pired:
+                        acc[k - e + i][j] += c * u
+        return tuple(acc[i][j] % mod for i in range(e) for j in range(f0))
 
     def _dig_mul_packed(self, xp, yp, lay=None):
         """Digit product from two packed integers: one bigint multiply and
@@ -511,20 +483,6 @@ class FieldDescriptor:
                 break
         return best
 
-    def _dig_mul_pi(self, x):
-        e, f0, pM = self.e, self.f0, self.pM
-        out = [0] * (e * f0)
-        for i in range(1, e):
-            for j in range(f0):
-                out[i * f0 + j] = x[(i - 1) * f0 + j]
-        prow = self._pired[0]
-        for j in range(f0):
-            c = x[(e - 1) * f0 + j]
-            if c:
-                for i in range(e):
-                    out[i * f0 + j] = (out[i * f0 + j] + c * prow[i]) % pM
-        return tuple(v % pM for v in out)
-
     def _dig_div_pi(self, x):
         """Exact solve of pi*z = x when val(x) >= 1; canonical top digit."""
         e, f0, pM, p = self.e, self.f0, self.pM, self.p
@@ -631,9 +589,7 @@ class FieldDescriptor:
         if v:
             digits = self._dig_strip(digits, v)
             shift += v
-        x = LocalElement(self, shift, digits)
-        x._val = shift
-        return x
+        return LocalElement(self, shift, digits, shift)
 
     def zero(self):
         return self._zero
@@ -664,11 +620,6 @@ class FieldDescriptor:
             raise ValueError(f"expected {self.e * self.f0} digits, got {len(digits)}")
         return self.element(shift, digits)
 
-    def to_json(self):
-        return {"p": self.p, "q": self.q, "f0": self.f0, "e": self.e,
-                "N": self.N, "tau": self.tau,
-                "unram": list(self.unram), "eis": list(self.eis)}
-
 
 class LocalElement:
     """An element of F at working precision: pi^shift * digits.
@@ -683,16 +634,20 @@ class LocalElement:
     operation reduces its result.  The shortcuts for pi^k (digits equal to
     those of one) rely on this: multiplying by pi^k adds k to the shift and
     inverting it negates the shift, with the digits as they are.
+
+    `val` is the raw valuation when the caller knows it, as for a result
+    whose digits are a unit (then it is the shift); otherwise it is
+    computed on first use.
     """
 
     __slots__ = ("field", "shift", "digits", "_pk", "_val")
 
-    def __init__(self, field, shift, digits):
+    def __init__(self, field, shift, digits, val=False):
         self.field = field
         self.shift = shift
         self.digits = digits
         self._pk = None
-        self._val = False
+        self._val = val
 
     def _packed(self):
         if self._pk is None:
@@ -743,7 +698,7 @@ class LocalElement:
     def __neg__(self):
         if self.is_zero():
             return self
-        return LocalElement(self.field, self.shift, self.field._dig_neg(self.digits))
+        return LocalElement(self.field, self.shift, self.field._dig_neg(self.digits), self.shift)
 
     def __sub__(self, other):
         other = _coerce(self.field, other)
@@ -764,10 +719,10 @@ class LocalElement:
             return f.element(shift, (0,) * (f.e * f.f0))
         one = f._one.digits
         if other.digits == one:
-            return LocalElement(f, shift, self.digits)
+            return LocalElement(f, shift, self.digits, shift)
         if self.digits == one:
-            return LocalElement(f, shift, other.digits)
-        return LocalElement(f, shift, f._dig_mul_packed(self._packed(), other._packed()))
+            return LocalElement(f, shift, other.digits, shift)
+        return LocalElement(f, shift, f._dig_mul_packed(self._packed(), other._packed()), shift)
 
     __rmul__ = __mul__
 
@@ -776,8 +731,8 @@ class LocalElement:
             raise NotInvertibleError("not invertible at precision")
         f = self.field
         if self.digits == f._one.digits:
-            return LocalElement(f, -self.shift, self.digits)
-        return LocalElement(f, -self.shift, f._dig_inv(self.digits))
+            return LocalElement(f, -self.shift, self.digits, -self.shift)
+        return LocalElement(f, -self.shift, f._dig_inv(self.digits), -self.shift)
 
     def __truediv__(self, other):
         other = _coerce(self.field, other)
@@ -858,15 +813,13 @@ def _mask_digits(field, digits, depth):
 
 
 def _shift_up(field, digits, k):
-    """digits * pi^k inside O_F/pi^Nint, the quotient the digits live in."""
+    """digits * pi^k inside O_F/pi^Nint, the quotient the digits live in:
+    the digit rows moved up by k zero rows, then one `_fold`."""
+    f0 = field.f0
     if k >= field.Nint:
-        return (0,) * (field.e * field.f0)
-    if field.e == 1:
-        pk = field.p ** k
-        return tuple((c * pk) % field.pM for c in digits)
-    for _ in range(k):
-        digits = field._dig_mul_pi(digits)
-    return digits
+        return (0,) * (field.e * f0)
+    return field._fold([[0] * f0 for _ in range(k)]
+                       + [list(digits[i:i + f0]) for i in range(0, len(digits), f0)], field.pM)
 
 
 # --- public operations -------------------------------------------------------
@@ -911,7 +864,8 @@ def make_field(p: int, q: int, f0: int = 1, N: int = 32, tau=None) -> FieldDescr
 
 
 def hensel_lift_unity(x0: LocalElement, q: int) -> LocalElement:
-    """Refine x0 to an exact solution of x^q = 1 at working precision.
+    """Refine x0 to a solution of x^q = 1 at working precision: the
+    Newton limit, which `mu_q_index` matches to the stored root.
 
     q must be 1 or a power of the residue characteristic.  Newton iteration
     x <- x - (x^q - 1)/(q x^(q-1)); convergence requires the start to agree
@@ -933,20 +887,11 @@ def hensel_lift_unity(x0: LocalElement, q: int) -> LocalElement:
     for _ in range(math.ceil(math.log2(f.N)) + 3):
         r = x ** q - 1
         if r.is_zero():
-            return _snap_to_mu(x)
+            return x
         x = x - r / (qe * x ** (q - 1))
         if x.valuation() != 0:
             break
     raise HenselBasinError("outside the Newton basin for x^q = 1")
-
-
-def _snap_to_mu(x: LocalElement) -> LocalElement:
-    """Replace a Newton limit of x^q = 1 by the exact stored root it
-    approximates; if nothing matches, x is returned as is."""
-    try:
-        return enumerate_mu_q(x.field)[mu_q_index(x)]
-    except LocalFieldError:
-        return x
 
 
 def enumerate_mu_q(field: FieldDescriptor) -> tuple[LocalElement, ...]:

@@ -1,0 +1,72 @@
+"""Print a digest of the bytes the pipeline publishes on the bench inputs.
+
+    PYTHONPATH=src python tests/record_digest.py
+
+For every benchmark workload, seeds 1-3 and rounds 0-2, in that order, it
+takes each point of the round through sample, `connect_to_diagonal`,
+`extend_to_canonical` and `verify_certificate` on the parsed JSON, as the
+benchmark does, then each tampered copy the workload runs, then each forged
+certificate.  The records are the certificate JSON and the verification
+report JSON of the valid certificate and of each tampered copy, and the
+report JSON of each forged certificate ("Type: message" when verification
+raises).  It prints the record count and the sha256 over the records, each
+followed by a newline.  Two trees publish the same bytes on these inputs
+when they print the same line.
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+from demuskin import deformation, localring, paths  # noqa: E402
+
+SEEDS = (1, 2, 3)
+ROUNDS = (0, 1, 2)
+
+
+def parse(text):
+    return paths.PathCertificate.from_json(json.loads(text))
+
+
+def verdict(text):
+    try:
+        report = paths.verify_certificate(parse(text))
+    except localring.LocalFieldError as exc:  # the verifier's totality fault
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(report.to_json())
+
+
+def records():
+    for wl in workloads.WORKLOADS.values():
+        params, forged = workloads.setup(wl)
+        for seed in SEEDS:
+            for r in ROUNDS:
+                for spec, point_seed in workloads.round_inputs(wl, seed, r):
+                    pt = deformation.sample_point_on_V(params, seed=point_seed, eigenvalues=spec)
+                    cert = paths.extend_to_canonical(paths.connect_to_diagonal(pt))
+                    text = json.dumps(cert.to_json())
+                    yield text
+                    yield verdict(text)
+                    for kind in wl.tampers:
+                        bad = workloads.tampered_text(kind, parse(text))
+                        yield bad
+                        yield verdict(bad)
+                for fault in wl.faults:
+                    yield verdict(forged[fault])
+
+
+def main():
+    digest = hashlib.sha256()
+    count = 0
+    for rec in records():
+        digest.update(rec.encode() + b"\n")
+        count += 1
+    print(f"{count} records sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

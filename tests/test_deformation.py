@@ -255,10 +255,9 @@ class TestEigenvalueDetection:
 class TestSerialization:
     def test_roundtrip(self, p554):
         pt = sample_point_on_V(p554, seed=11, eigenvalues=[0, 3])
-        blob = pt.to_json(meta={"seed": 11})
+        blob = pt.to_json()
         back = DeformationPoint.from_json(blob)
         assert back == pt
-        assert blob["meta"]["seed"] == 11
 
     def test_label_roundtrip(self, p332):
         lab = label_for_index(p332.field, 2)

@@ -93,11 +93,6 @@ class TestMakeField:
         f = make_field(3, 3, 1, 33)
         assert f.N == 34 and f.M == 17
 
-    def test_roundtrip_descriptor(self, f33):
-        blob = f33.to_json()
-        g = FieldDescriptor(blob["p"], blob["q"], blob["f0"], blob["N"], tau=blob["tau"])
-        assert g == f33
-
     def test_one_field_per_parameter_set(self):
         f = make_field(5, 5, 2, 32)
         assert make_field(5, 5, 2, 30) is f

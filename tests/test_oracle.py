@@ -7,6 +7,9 @@ by pi^c, with c a multiple of e at least every pole order, makes the lifts
 of all operands integral; a result is then checked to agree with the model
 mod pi^(c'+N), where c' is the power of pi it carries, and its valuation to
 be the model's below N and math.inf from N on.
+
+The pi-shift and the reduction `_fold` under every product are checked
+exactly, in O_F/pi^Nint, the quotient the digits live in.
 """
 
 import math
@@ -14,12 +17,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demuskin.localring import LocalElement, make_field
+from demuskin.localring import LocalElement, _shift_up, make_field
 from oracle import Oracle
 
 ORACLE_FIELDS = [make_field(5, 5, 2, 32), make_field(3, 9, 2, 36), make_field(7, 7, 1, 24),
-                 make_field(3, 3, 3, 16), make_field(7, 7, 2, 36)]
+                 make_field(3, 3, 3, 16), make_field(7, 7, 2, 36), make_field(7, 1, 2, 16)]
 ORACLE_SETTINGS = settings(max_examples=40, deadline=None)
+# q = 1 (e = 1) with f0 = 1 and f0 = 3 besides
+FOLD_FIELDS = ORACLE_FIELDS + [make_field(5, 1, 1, 16), make_field(3, 1, 3, 16)]
+FOLD_SETTINGS = settings(max_examples=15, deadline=None)
 
 
 def field_ids(f):
@@ -117,3 +123,41 @@ class TestAgainstOracle:
             prod = model.mul(model.lift(x, c), model.lift(y, c))
             want = model.add(want, model.neg(prod) if neg else prod)
         assert_agrees(model, f.dot(terms), want, 2 * c)
+
+
+def digit_vector(f):
+    return st.tuples(*[st.integers(0, f.pM - 1)] * (f.e * f.f0))
+
+
+@pytest.mark.parametrize("f", FOLD_FIELDS, ids=field_ids)
+class TestFold:
+    @FOLD_SETTINGS
+    @given(data=st.data())
+    def test_shift_up_is_pi_power_times_digits(self, f, data):
+        u = data.draw(digit_vector(f))
+        model = Oracle(f, f.Nint)
+        want = u
+        for k in range(f.Nint + 1):
+            assert _shift_up(f, u, k) == want
+            want = model.mul(want, model.pi)
+
+    @FOLD_SETTINGS
+    @given(data=st.data())
+    def test_fold_of_more_rows_than_a_dot_block(self, f, data):
+        """Rows as `_reduce_packed` extracts them, 2 f0 - 1 signed
+        coefficients of a^j each, but more of them than the 3e - 2 of a
+        `dot` block."""
+        width = 2 * f.f0 - 1
+        coeff = st.integers(-f.pM ** 2, f.pM ** 2)
+        rows = data.draw(st.lists(st.lists(coeff, min_size=width, max_size=width),
+                                  min_size=3 * f.e - 1, max_size=4 * f.e + 4))
+        model = Oracle(f, f.Nint)
+        apow = [model.one]
+        for _ in range(width - 1):  # a is the digit at index 1 when f0 > 1
+            apow.append(model.mul(apow[-1], tuple(int(i == 1) for i in range(f.e * f.f0))))
+        want, pik = (0,) * (f.e * f.f0), model.one
+        for row in rows:
+            for c, aj in zip(row, apow):
+                want = model.add(want, model.mul(pik, tuple(c * x for x in aj)))
+            pik = model.mul(pik, model.pi)
+        assert f._fold([list(r) for r in rows], f.pM) == want
