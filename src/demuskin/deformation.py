@@ -21,7 +21,6 @@ from .localring import (
     LocalElement,
     LocalFieldError,
     enumerate_mu_q,
-    hensel_lift_unity,
     make_field,
     mu_q_index,
     reduce_mod_m,
@@ -197,44 +196,48 @@ def check_relation(pt: DeformationPoint):
 
 
 def det_component(pt: DeformationPoint) -> ComponentLabel:
-    """Component label of a relation point: Hensel-refine det(M_1) to the
-    exact q-th root of unity it approximates and look it up among the
-    powers of the fixed primitive root."""
+    """Component label of a relation point: the index of the q-th root of
+    unity that `mu_q_index` matches to det(M_1)."""
     return label_at_residual(pt, check_relation(pt))
 
 
 def label_at_residual(pt: DeformationPoint, residual) -> ComponentLabel:
     """det_component of a point whose relation residual, as returned by
-    check_relation, is already known."""
+    check_relation, is already known.  Raises RelationViolatedError when the
+    relation or det(M_1)^q = 1 fails at tau, and PrecisionExhaustedError
+    when det(M_1)^q = 1 holds but no root lies close enough to decide."""
     params = pt.params
     f = params.field
     if residual < f.tau:
         raise RelationViolatedError(
             f"relation residual {residual} below threshold {f.tau}")
-    d1 = det(pt.matrices[0])
     if params.q == 1:
         return label_for_index(f, 0)
+    d1 = det(pt.matrices[0])
+    j = mu_q_index(d1)
+    if j is not None:
+        return label_for_index(f, j)
     if (d1 ** params.q - 1).valuation() < f.tau:
         raise RelationViolatedError(
             "det(M_1) is not a q-th root of unity at threshold")
-    try:
-        return label_for_index(f, mu_q_index(hensel_lift_unity(d1, params.q)))
-    except LocalFieldError as exc:
-        raise PrecisionExhaustedError(
-            f"could not resolve the component label: {exc}") from exc
+    raise PrecisionExhaustedError(
+        "could not resolve the component label: det(M_1) matches no q-th root of unity")
+
+
+def diagonal_point(params: DeformationParams, labels) -> DeformationPoint:
+    """diag(zeta^k for k in labels) with identity partners."""
+    f = params.field
+    mus = enumerate_mu_q(f)
+    return DeformationPoint(params, [Mat.diag(f, [mus[k % len(mus)] for k in labels])]
+                            + [Mat.identity(f, params.n)] * (params.tuple_length - 1))
 
 
 def canonical_point(params: DeformationParams, label) -> DeformationPoint:
-    """The base point of a component: diag(zeta, 1, ..., 1) with identity
-    partners."""
-    f = params.field
+    """The base point of a component: diag(zeta^label, 1, ..., 1) with
+    identity partners."""
     if isinstance(label, ComponentLabel):
         label = label.index
-    zeta_k = enumerate_mu_q(f)[label % max(f.q, 1)]
-    entries = [zeta_k] + [f.one()] * (params.n - 1)
-    mats = [Mat.diag(f, entries)]
-    mats += [Mat.identity(f, params.n) for _ in range(params.tuple_length - 1)]
-    return DeformationPoint(params, mats)
+    return diagonal_point(params, [label] + [0] * (params.n - 1))
 
 
 def is_in_V(pt: DeformationPoint, threshold=None) -> bool:

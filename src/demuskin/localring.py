@@ -54,10 +54,6 @@ class NotIntegralError(LocalFieldError):
     """An integral element was required but the shift is negative."""
 
 
-class HenselBasinError(LocalFieldError):
-    """Newton iteration did not converge: start was outside the basin."""
-
-
 class SquareRootError(LocalFieldError):
     """The element has no square root in the field."""
 
@@ -863,37 +859,6 @@ def make_field(p: int, q: int, f0: int = 1, N: int = 32, tau=None) -> FieldDescr
     return field
 
 
-def hensel_lift_unity(x0: LocalElement, q: int) -> LocalElement:
-    """Refine x0 to a solution of x^q = 1 at working precision: the
-    Newton limit, which `mu_q_index` matches to the stored root.
-
-    q must be 1 or a power of the residue characteristic.  Newton iteration
-    x <- x - (x^q - 1)/(q x^(q-1)); convergence requires the start to agree
-    with a root past the wild ramification of q.
-    """
-    f = x0.field
-    if q != 1:
-        m = q
-        while m % f.p == 0:
-            m //= f.p
-        if m != 1:
-            raise UnsupportedParametersError(f"q = {q} is not a power of p = {f.p}")
-    if x0.valuation() != 0:
-        raise HenselBasinError("start value is not a unit")
-    if q == 1:
-        return f.one()
-    x = x0
-    qe = f.from_int(q)
-    for _ in range(math.ceil(math.log2(f.N)) + 3):
-        r = x ** q - 1
-        if r.is_zero():
-            return x
-        x = x - r / (qe * x ** (q - 1))
-        if x.valuation() != 0:
-            break
-    raise HenselBasinError("outside the Newton basin for x^q = 1")
-
-
 def enumerate_mu_q(field: FieldDescriptor) -> tuple[LocalElement, ...]:
     """The q-th roots of unity as exact elements, ordered as powers of the
     fixed primitive root zeta = 1 + pi."""
@@ -908,19 +873,22 @@ def enumerate_mu_q(field: FieldDescriptor) -> tuple[LocalElement, ...]:
     return field._mu_cache
 
 
-def mu_q_index(x: LocalElement) -> int:
-    """Index j with x = zeta^j among the q-th roots of unity.
+def mu_q_index(x: LocalElement) -> int | None:
+    """Index j of the q-th root of unity with v(x - zeta^j) >= theta, or
+    None when no root lies that close.
 
-    Newton limits in O_F/pi^N pin a root of x^q = 1 only to N - v(q) digits,
-    so the match is made at valuation >= N/2.  Distinct q-th roots differ at
-    valuation <= phi(q) <= N/4, so at most one root matches, and an exact
-    match is one of them.
+    theta = max(r + 1, tau - v(q)), where r = q/p (0 for q = 1) is the
+    largest valuation of a difference of two distinct roots, so at most one
+    root matches.  Past r, v(x^q - 1) = v(q) + v(x - zeta^j): a match gives
+    x^q = 1 at tau, and x^q = 1 at tau without a match means that x lies no
+    closer than r to every root.
     """
-    half = x.field.N // 2
-    for j, r in enumerate(enumerate_mu_q(x.field)):
-        if (x - r).valuation() >= half:
+    f = x.field
+    theta = max(f.q // f.p + 1, f.tau - f.e * _vp_int(f.q, f.p))
+    for j, root in enumerate(enumerate_mu_q(f)):
+        if (x - root).valuation() >= theta:
             return j
-    raise LocalFieldError("element does not match a q-th root of unity at precision")
+    return None
 
 
 def reduce_mod_m(x: LocalElement) -> int:

@@ -62,6 +62,7 @@ from .deformation import (
     conjugate_point,
     det_component,
     detect_eigenvalues,
+    diagonal_point,
     is_in_V,
     label_at_residual,
     relation_residual,
@@ -155,15 +156,13 @@ class PathCertificate:
     segments: tuple
     end: DeformationPoint
     label: ComponentLabel
-    verification: "VerificationReport | None" = None
 
     def to_json(self):
         return {"start": self.start.to_json(),
                 "end": self.end.to_json(),
                 "label": self.label.to_json(),
                 "segments": [s.to_json() for s in self.segments],
-                "verification": self.verification.to_json()
-                if self.verification else None}
+                "verification": None}
 
     @staticmethod
     def from_json(blob):
@@ -173,14 +172,6 @@ class PathCertificate:
         end = DeformationPoint.from_json(blob["end"])
         label = ComponentLabel.from_json(params.field, blob["label"])
         return PathCertificate(start, segs, end, label)
-
-
-def concat_certificates(a: PathCertificate, b: PathCertificate) -> PathCertificate:
-    if not a.end.eq_at(b.start):
-        raise PreconditionError("certificates do not chain")
-    if a.label != b.label:
-        raise PreconditionError("certificates carry different component labels")
-    return PathCertificate(a.start, a.segments + b.segments, b.end, a.label)
 
 
 # --- construction ---------------------------------------------------------------
@@ -233,7 +224,6 @@ def connect_to_diagonal(pt: DeformationPoint) -> PathCertificate:
     diag1 = Mat.diag(f, [m1p.rows[i][i] for i in range(n)])
     diag2 = Mat.diag(f, [m2p.rows[i][i] for i in range(n)])
     ident = Mat.identity(f, n)
-    pt2 = DeformationPoint(params, [diag1, diag2] + [ident] * (params.tuple_length - 2))
     seg3 = PolynomialPath(_contract_slots(params, diag1, diag2))
     end = DeformationPoint(params, [diag1, ident] + [ident] * (params.tuple_length - 2))
     return PathCertificate(pt, (seg1, seg2, seg3), end, label)
@@ -388,9 +378,7 @@ def normalize_and_cite(diag_pt: DeformationPoint, label: ComponentLabel) -> Path
     of its component, by recorded merges diag(..., a, b) -> diag(..., ab, 1).
     No path is computed: each merge is a cited equivalence."""
     params = diag_pt.params
-    f = params.field
     n = params.n
-    ident = Mat.identity(f, n)
     labels = _diagonal_labels(diag_pt)
     if labels is None:
         raise PreconditionError("input point must have identity partners and "
@@ -398,20 +386,13 @@ def normalize_and_cite(diag_pt: DeformationPoint, label: ComponentLabel) -> Path
     total = sum(labels) % params.q
     if total != label.index:
         raise PreconditionError("label does not match the diagonal product")
-    mus = enumerate_mu_q(f)
-
-    def diag_point(ks):
-        entries = [mus[k] for k in ks]
-        return DeformationPoint(params, [Mat.diag(f, entries)]
-                                + [ident] * (params.tuple_length - 1))
-
     segs = []
     cur_labels = list(labels)
     cur_pt = diag_pt
     for step in range(n - 1, 0, -1):
         merged = cur_labels[:step - 1] + [sum(cur_labels[step - 1:]) % params.q]
         merged += [0] * (n - step)
-        nxt = diag_point(merged)
+        nxt = diagonal_point(params, merged)
         if not cur_pt.eq_at(nxt):
             segs.append(CitedEquivalence(BJ_STATEMENT_ID, BJ_SOURCE, cur_pt, nxt))
         cur_pt = nxt
@@ -422,8 +403,8 @@ def normalize_and_cite(diag_pt: DeformationPoint, label: ComponentLabel) -> Path
 
 def _diagonal_labels(pt: DeformationPoint):
     """Label indices of the diagonal entries of M_1, when the point has
-    identity partners and M_1 is diagonal at threshold with entries in
-    mu_q; None otherwise."""
+    identity partners and M_1 is diagonal at threshold with every entry
+    matched to a q-th root of unity by `mu_q_index`; None otherwise."""
     f = pt.params.field
     n = pt.params.n
     ident = Mat.identity(f, n)
@@ -432,15 +413,14 @@ def _diagonal_labels(pt: DeformationPoint):
             and all(m1.rows[i][j].valuation() >= f.tau
                     for i in range(n) for j in range(n) if i != j)):
         return None
-    try:
-        return [mu_q_index(m1.rows[i][i]) for i in range(n)]
-    except LocalFieldError:
-        return None
+    labels = [mu_q_index(m1.rows[i][i]) for i in range(n)]
+    return None if None in labels else labels
 
 
 def extend_to_canonical(cert: PathCertificate) -> PathCertificate:
     """connect_to_diagonal followed by the cited merges, as one certificate."""
-    return concat_certificates(cert, normalize_and_cite(cert.end, cert.label))
+    ext = normalize_and_cite(cert.end, cert.label)
+    return PathCertificate(cert.start, cert.segments + ext.segments, ext.end, cert.label)
 
 
 # --- verification ---------------------------------------------------------------
@@ -469,9 +449,6 @@ class VerificationReport:
     def passed(self):
         return all(e.ok for e in self.entries)
 
-    def failed(self):
-        return [e for e in self.entries if not e.ok]
-
     def failed_clauses(self):
         return sorted({e.clause for e in self.entries if not e.ok})
 
@@ -486,7 +463,8 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
         current tuple onto the next anchor;
     (b) polynomial paths satisfy the defining relation identically in t at
         threshold (and start from a relation point);
-    (c) segment endpoints chain, ending at the stored end point;
+    (c) segment endpoints chain, ending at the stored end point, and every
+        stored point has the start's parameters;
     (d) det(M_1) is t-independent along polynomial paths and constant across
         the chain, matching the stored component label;
     (e) cited segments record only the admissible merge statement.
@@ -515,7 +493,8 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
             cur, cur_det = _verify_cited(rep, idx, seg, cur, cur_det, params)
         else:
             rep.add(idx, "c", False, f"unknown segment type {type(seg).__name__}")
-    rep.add(None, "c", cur.eq_at(cert.end), "chain reaches the stored end point")
+    if _same_params(rep, None, cert.end, params, "end point"):
+        rep.add(None, "c", cur.eq_at(cert.end), "chain reaches the stored end point")
     try:
         end_label = det_component(cert.end)
         rep.add(None, "d", end_label == cert.label, "end label matches")
@@ -583,5 +562,17 @@ def _verify_cited(rep, idx, seg, cur, cur_det, params):
     if shape_ok:
         rep.add(idx, "e", sum(labels[0]) % params.q == sum(labels[1]) % params.q,
                 "label product preserved")
-    rep.add(idx, "c", seg.start.eq_at(cur), "cited start matches the chain")
+    if _same_params(rep, idx, seg.start, params, "cited start"):
+        rep.add(idx, "c", seg.start.eq_at(cur), "cited start matches the chain")
+    if not _same_params(rep, idx, seg.end, params, "cited end"):
+        return cur, cur_det
     return seg.end, det(seg.end.matrices[0])
+
+
+def _same_params(rep, idx, pt, params, what):
+    """True when pt has the certificate's parameters; otherwise adds one
+    failing clause-c entry, as the points of two fields do not compare."""
+    if pt.params == params:
+        return True
+    rep.add(idx, "c", False, f"{what} parameters differ from the start's")
+    return False

@@ -9,9 +9,11 @@ benchmark does, then each tampered copy the workload runs, then each forged
 certificate.  The records are the certificate JSON and the verification
 report JSON of the valid certificate and of each tampered copy, and the
 report JSON of each forged certificate ("Type: message" when verification
-raises).  It prints the record count and the sha256 over the records, each
+raises).  It prints one line `<workload> <count> <sha256>` per workload,
+then the total record count and the sha256 over all the records, each
 followed by a newline.  Two trees publish the same bytes on these inputs
-when they print the same line.
+when they print the same last line; the workload lines show where bytes
+differ.
 """
 
 import hashlib
@@ -40,32 +42,37 @@ def verdict(text):
     return json.dumps(report.to_json())
 
 
-def records():
-    for wl in workloads.WORKLOADS.values():
-        params, forged = workloads.setup(wl)
-        for seed in SEEDS:
-            for r in ROUNDS:
-                for spec, point_seed in workloads.round_inputs(wl, seed, r):
-                    pt = deformation.sample_point_on_V(params, seed=point_seed, eigenvalues=spec)
-                    cert = paths.extend_to_canonical(paths.connect_to_diagonal(pt))
-                    text = json.dumps(cert.to_json())
-                    yield text
-                    yield verdict(text)
-                    for kind in wl.tampers:
-                        bad = workloads.tampered_text(kind, parse(text))
-                        yield bad
-                        yield verdict(bad)
-                for fault in wl.faults:
-                    yield verdict(forged[fault])
+def records(wl):
+    params, forged = workloads.setup(wl)
+    for seed in SEEDS:
+        for r in ROUNDS:
+            for spec, point_seed in workloads.round_inputs(wl, seed, r):
+                pt = deformation.sample_point_on_V(params, seed=point_seed, eigenvalues=spec)
+                cert = paths.extend_to_canonical(paths.connect_to_diagonal(pt))
+                text = json.dumps(cert.to_json())
+                yield text
+                yield verdict(text)
+                for kind in wl.tampers:
+                    bad = workloads.tampered_text(kind, parse(text))
+                    yield bad
+                    yield verdict(bad)
+            for fault in wl.faults:
+                yield verdict(forged[fault])
 
 
 def main():
-    digest = hashlib.sha256()
+    total = hashlib.sha256()
     count = 0
-    for rec in records():
-        digest.update(rec.encode() + b"\n")
-        count += 1
-    print(f"{count} records sha256 {digest.hexdigest()}")
+    for name, wl in workloads.WORKLOADS.items():
+        digest = hashlib.sha256()
+        records_before = count
+        for rec in records(wl):
+            line = rec.encode() + b"\n"
+            digest.update(line)
+            total.update(line)
+            count += 1
+        print(f"{name} {count - records_before} {digest.hexdigest()}")
+    print(f"{count} records sha256 {total.hexdigest()}")
 
 
 if __name__ == "__main__":

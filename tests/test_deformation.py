@@ -3,7 +3,7 @@ import math
 import pytest
 
 from demuskin.localring import enumerate_mu_q, make_field
-from demuskin.linalg import Mat, det, mat_inv, rank_at_threshold
+from demuskin.linalg import Mat, PrecisionExhaustedError, det, mat_inv, rank_at_threshold
 from demuskin.deformation import (
     ComponentLabel,
     DeformationParams,
@@ -166,6 +166,46 @@ class TestDetComponent:
                                      Mat.identity(f, 2), Mat.identity(f, 2)])
         with pytest.raises(RelationViolatedError):
             det_component(pt)
+
+
+def one_by_one_point(params, x):
+    """The n = 1 point with M_1 = (x) and identity partners; its relation
+    holds exactly, as 1 x 1 matrices commute."""
+    f = params.field
+    return DeformationPoint(params, [Mat(f, [[x]])]
+                            + [Mat.identity(f, 1)] * (params.tuple_length - 1))
+
+
+class TestLabelThreshold:
+    @pytest.mark.parametrize("s", [13, 21, 29])
+    def test_label_where_v_q_reaches_tau(self, s):
+        """On (3,27,1,72), v(q) = 54 = tau and r = 9: det(M_1) =
+        zeta^12 (1 + pi^s y) with s > r is labelled 12."""
+        f = make_field(3, 27, 1, 72)
+        params = DeformationParams(f, d=18, n=1)
+        y = f.from_int(2) + f.uniformizer()
+        x = enumerate_mu_q(f)[12] * (1 + f.uniformizer() ** s * y)
+        assert det_component(one_by_one_point(params, x)).index == 12
+
+    def test_root_at_tau_without_a_match_exhausts_precision(self):
+        """On (3,3,2,32) with tau = 3, x = 1 + pi a for the unramified
+        generator a has v(x^3 - 1) = 3, but lies at valuation 1 = r from
+        every cube root of unity: the label is undecided."""
+        f = make_field(3, 3, 2, 32, tau=3)
+        params = DeformationParams(f, d=2, n=1)
+        a = f.element(0, (0, 1) + (0,) * (f.e * f.f0 - 2))
+        x = 1 + f.uniformizer() * a
+        assert (x ** 3 - 1).valuation() == 3
+        with pytest.raises(PrecisionExhaustedError):
+            det_component(one_by_one_point(params, x))
+
+    def test_perturbed_zeta_violates_the_relation(self):
+        """zeta + pi^10 on (3,3,1,32): with identity partners the relation of
+        a 1 x 1 point is x^3 = 1, and v(x^3 - 1) = 12 < tau = 24."""
+        f = make_field(3, 3, 1, 32)
+        params = DeformationParams(f, d=2, n=1)
+        with pytest.raises(RelationViolatedError):
+            det_component(one_by_one_point(params, f.zeta() + f.uniformizer() ** 10))
 
 
 class TestCanonicalAndV:

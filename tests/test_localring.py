@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from demuskin.localring import (
     DOT_TERMS,
     FieldDescriptor,
-    HenselBasinError,
     LocalElement,
     NotIntegralError,
     NotInvertibleError,
@@ -19,7 +18,6 @@ from demuskin.localring import (
     _vp_int,
     enumerate_mu_q,
     find_irreducible_poly,
-    hensel_lift_unity,
     hensel_sqrt,
     make_field,
     mu_q_index,
@@ -184,35 +182,6 @@ class TestArith:
             f33.one() + f55.one()
 
 
-class TestHensel:
-    def test_exact_root_fixed(self, f33):
-        assert hensel_lift_unity(f33.one(), 3) == f33.one()
-        z = f33.zeta()
-        assert hensel_lift_unity(z, 3) == z
-
-    def test_perturbed_zeta_recovers(self, f33):
-        z = f33.zeta()
-        pi = f33.uniformizer()
-        lifted = hensel_lift_unity(z + pi ** 10, 3)
-        assert lifted == z
-        assert (lifted ** 3 - 1).is_zero()
-
-    def test_truncated_zeta5_lifts(self, f55):
-        z = f55.zeta()
-        x0 = truncate(z, 12)
-        lifted = hensel_lift_unity(x0, 5)
-        assert (lifted ** 5 - 1).is_zero()
-        assert lifted == z
-
-    def test_outside_basin(self, f33):
-        with pytest.raises((HenselBasinError, NotInvertibleError)):
-            hensel_lift_unity(f33.from_int(2), 3)
-
-    def test_non_unit_start(self, f33):
-        with pytest.raises(HenselBasinError):
-            hensel_lift_unity(f33.uniformizer(), 3)
-
-
 class TestMuQ:
     def test_q1(self):
         f = make_field(5, 1, 1, 16)
@@ -241,6 +210,26 @@ class TestMuQ:
             assert mu_q_index(x) == j
         pi = f55.uniformizer()
         assert mu_q_index(mus[2] + pi ** (f55.N - 2)) == 2
+
+    def test_exact_root_matches(self, f33):
+        assert mu_q_index(f33.one()) == 0
+        assert mu_q_index(f33.zeta()) == 1
+
+    def test_perturbed_zeta_below_threshold_matches_nothing(self, f33):
+        # theta = max(r + 1, tau - v(3)) = 22 on (3,3,1,32): zeta + pi^10 is
+        # no q-th root of unity at tau, as v(x^3 - 1) = v(3) + 10 = 12
+        x = f33.zeta() + f33.uniformizer() ** 10
+        assert mu_q_index(x) is None
+        assert (x ** 3 - 1).valuation() == 12
+
+    def test_truncated_zeta5_matches(self, f55):
+        assert mu_q_index(truncate(f55.zeta(), 12)) == 1
+
+    def test_non_root_unit_matches_nothing(self, f33):
+        assert mu_q_index(f33.from_int(2)) is None
+
+    def test_non_unit_matches_nothing(self, f33):
+        assert mu_q_index(f33.uniformizer()) is None
 
 
 def _monic(p, deg):
@@ -609,3 +598,50 @@ class TestDot:
         assert sequential_dot(f, terms).shift == 0
         assert f.dot(terms).shift == -10
         assert f.dot(terms[::-1]).shift == sequential_dot(f, terms[::-1]).shift == -10
+
+
+# Fields for the root-of-unity match: small and wide q, f0 > 1, and two
+# whose threshold is r + 1: (3,3,2,32) with tau = 3, and (3,27,1,72), where
+# v(q) = 54 = tau puts theta = 10 far below N/2.
+MU_FIELDS = [make_field(3, 3, 1, 32), make_field(5, 5, 2, 32), make_field(3, 9, 2, 36),
+             make_field(3, 3, 2, 32, tau=3), make_field(3, 27, 1, 72),
+             make_field(5, 25, 1, 80)]
+
+
+def roots_and_spread(f):
+    """The powers of zeta = 1 + pi, and the largest valuation of a
+    difference of two distinct ones, by brute force."""
+    z = f.zeta()
+    roots = [z ** j for j in range(f.q)]
+    spread = max((roots[i] - roots[j]).valuation()
+                 for i in range(f.q) for j in range(i))
+    return roots, spread
+
+
+@st.composite
+def near_root(draw, f):
+    """zeta^j (1 + pi^s y) or zeta^j + pi^s y, y arbitrary, s in [1, N + 3]."""
+    j = draw(st.integers(0, f.q - 1))
+    s = draw(st.integers(1, f.N + 3))
+    y = f.element(0, tuple(draw(st.integers(0, f.pM - 1)) for _ in range(f.e * f.f0)))
+    root = f.zeta() ** j
+    if draw(st.booleans()):
+        return root * (1 + f.uniformizer() ** s * y)
+    return root + f.uniformizer() ** s * y
+
+
+class TestMuQThreshold:
+    @pytest.mark.parametrize("f", MU_FIELDS, ids=field_ids)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_match_is_the_nearest_root_and_a_miss_is_far(self, f, data):
+        roots, spread = roots_and_spread(f)
+        x = data.draw(near_root(f))
+        dist = [(x - r).valuation() for r in roots]
+        on_mu = (x ** f.q - 1).valuation() >= f.tau
+        j = mu_q_index(x)
+        if j is not None:
+            assert on_mu
+            assert all(d < dist[j] for k, d in enumerate(dist) if k != j)
+        elif on_mu:
+            assert max(dist) < spread + 1

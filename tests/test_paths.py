@@ -194,6 +194,24 @@ def test_connect_expands_the_characteristic_polynomial_once(monkeypatch):
                for i in range(n) for j in range(n))
 
 
+@pytest.mark.parametrize("where", ["end point", "cited start", "cited end"])
+def test_points_with_other_parameters_fail_clause_c(where):
+    """A stored point whose parameters differ from the start's is not
+    compared with the chain; it fails one clause-c entry.  The chain does
+    not pass through a cited end of other parameters, so it then misses the
+    stored end point."""
+    blob = grid_certificate(*GRID[0]).to_json()
+    cited = next(s for s in blob["segments"] if s["kind"] == "cited")
+    point = {"end point": blob["end"], "cited start": cited["start"],
+             "cited end": cited["end"]}[where]
+    point["params"]["N"] = 37
+    report = verify_certificate(PathCertificate.from_json(blob))
+    want = [("c", f"{where} parameters differ from the start's")]
+    if where == "cited end":
+        want.append(("c", "chain reaches the stored end point"))
+    assert [(e.clause, e.detail) for e in report.entries if not e.ok] == want
+
+
 # --- diagonal root-of-unity points: the input of the cited merges ---------------
 
 
