@@ -187,7 +187,7 @@ def relation_residual(params: DeformationParams, mats):
         if not (a.is_identity() or b.is_identity()):
             rhs = b * a * adjugate(b) * adjugate(a) * rhs
             lhs = lhs.scale(det(a) * det(b))
-    return (lhs - rhs).min_entry_valuation()
+    return lhs.diff_valuation(rhs)
 
 
 def check_relation(pt: DeformationPoint):
@@ -204,8 +204,10 @@ def det_component(pt: DeformationPoint) -> ComponentLabel:
 def label_at_residual(pt: DeformationPoint, residual) -> ComponentLabel:
     """det_component of a point whose relation residual, as returned by
     check_relation, is already known.  Raises RelationViolatedError when the
-    relation or det(M_1)^q = 1 fails at tau, and PrecisionExhaustedError
-    when det(M_1)^q = 1 holds but no root lies close enough to decide."""
+    relation fails at tau, and PrecisionExhaustedError when no root lies
+    close enough to decide.  A residual of at least tau already gives
+    det(M_1)^q = 1 at tau, as every commutator has determinant 1, so a
+    point that reaches the match needs no further check."""
     params = pt.params
     f = params.field
     if residual < f.tau:
@@ -217,9 +219,6 @@ def label_at_residual(pt: DeformationPoint, residual) -> ComponentLabel:
     j = mu_q_index(d1)
     if j is not None:
         return label_for_index(f, j)
-    if (d1 ** params.q - 1).valuation() < f.tau:
-        raise RelationViolatedError(
-            "det(M_1) is not a q-th root of unity at threshold")
     raise PrecisionExhaustedError(
         "could not resolve the component label: det(M_1) matches no q-th root of unity")
 

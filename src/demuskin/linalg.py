@@ -127,14 +127,20 @@ class Mat:
 
     __hash__ = None
 
+    def diff_valuation(self, other):
+        """(self - other).min_entry_valuation(), entry by entry on aligned
+        digits (`LocalElement.diff_valuation`), with no difference built."""
+        return min(a.diff_valuation(b)
+                   for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
+
     def eq_at(self, other, threshold=None):
         t = threshold if threshold is not None else self.field.tau
-        return all((a - b).valuation() >= t
+        return all(a.diff_valuation(b) >= t
                    for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
     def is_identity(self):
-        one = self.field.one()
-        return all((e - one).is_zero() if i == j else e.is_zero()
+        one = self._ring()[0]
+        return all(e.diff_valuation(one) == math.inf if i == j else e.is_zero()
                    for i, r in enumerate(self.rows) for j, e in enumerate(r))
 
     def min_entry_valuation(self):
@@ -279,6 +285,14 @@ class Poly:
         """Smallest coefficient valuation."""
         return min(c.valuation() for c in self.coeffs)
 
+    def diff_valuation(self, other):
+        """(self - other).valuation(), coefficient by coefficient on aligned
+        digits (`LocalElement.diff_valuation`)."""
+        if isinstance(other, LocalElement):
+            other = Poly.const(self.field, other)
+        return min(self.coeff(k).diff_valuation(other.coeff(k))
+                   for k in range(max(len(self.coeffs), len(other.coeffs))))
+
     def coeff(self, k):
         return self.coeffs[k] if k < len(self.coeffs) else self.field.zero()
 
@@ -310,7 +324,7 @@ class Poly:
         return horner(self.coeffs, x)
 
     def __eq__(self, other):
-        return (self - other).is_zero()
+        return self.diff_valuation(other) == math.inf
 
     __hash__ = None
 

@@ -387,7 +387,7 @@ class FieldDescriptor:
         of shift s is exact mod pi^(s+Nint), so a block sum is exact mod
         pi^(s_b+Nint), as the chain is: the digits at N agree whenever
         s_b >= -N.  For e = 1 a block is one shift."""
-        N, e = self.N, self.e
+        N, e, p = self.N, self.e, self.p
         live = []
         low = None
         for x, y, neg in terms:
@@ -412,11 +412,19 @@ class FieldDescriptor:
                 _, x, y, neg = live[k]
                 v = -(x * y) if neg else x * y
             else:
-                v = self.element(live[k][0], self._dot_digits(live[k:j]))
+                sb, d = live[k][0], self._dot_digits(live[k:j])
+                # a block that vanishes at N with digits left is lift digits
+                # only: the clean zero, which rule (*) below gives it anyway,
+                # here without a strip.  A coefficient prime to p means a
+                # valuation below e, which element() reads at once, so only
+                # the other blocks are masked.
+                lift_only = (any(d) and not any(c % p for c in d)
+                             and not any(_mask_digits(self, d, N - sb)))
+                v = self._zero if lift_only else self.element(sb, d)
             total = v if total is None else total + v
             k = j
         if total is not None and total.is_zero() and total.shift > 0:
-            total = self._zero
+            total = self._zero  # (*)
         if low is not None and (total is None or total.is_zero()):
             v = low[1] * low[2]
             total = v if total is None else total + v
@@ -624,7 +632,9 @@ class LocalElement:
     zero vector), so the shift is the exact valuation.  Zero-ness, equality
     and the reported valuation are all at the published precision N; digits
     in the guard band above N are carried for arithmetic but are never
-    meaningful on their own.
+    meaningful on their own.  Comparisons (`==`, `eq_at`, `diff_valuation`)
+    are decided on the aligned digits of the two operands and never build
+    their difference as an element.
 
     Every stored digit is reduced into [0, pM): each constructor and ring
     operation reduces its result.  The shortcuts for pi^k (digits equal to
@@ -755,15 +765,38 @@ class LocalElement:
                 return NotImplemented
         if self.field is not other.field and self.field != other.field:
             return False
-        return (self - other).is_zero()
+        return self.diff_valuation(other) == math.inf
 
     __hash__ = None  # representations of one value can differ in shift
 
+    def diff_valuation(self, other):
+        """(self - other).valuation(), decided on the digits that `+` would
+        hand to `element()`, without building the difference: those digits
+        are tested for vanishing at precision N, and only a nonvanishing
+        difference has its digit valuation read.  A strip never changes the
+        valuation, so this is exact."""
+        other = _coerce(self.field, other)
+        if self.is_zero():
+            return other.valuation()
+        if other.is_zero():
+            return self.valuation()
+        f = self.field
+        s = min(self.shift, other.shift)
+        dx, dy = self.digits, other.digits
+        if self.shift > s:
+            dx = _shift_up(f, dx, self.shift - s)
+        if other.shift > s:
+            dy = _shift_up(f, dy, other.shift - s)
+        pM = f.pM
+        d = tuple((a - b) % pM for a, b in zip(dx, dy))
+        if not any(_mask_digits(f, d, f.N - s)):
+            return math.inf
+        return s + f._dig_val(d)
+
     def eq_at(self, other, threshold=None) -> bool:
         """Equality at valuation threshold (default: the field's tau)."""
-        other = _coerce(self.field, other)
         t = threshold if threshold is not None else self.field.tau
-        return (self - other).valuation() >= t
+        return self.diff_valuation(other) >= t
 
     def __repr__(self):
         if self.is_zero():
@@ -886,7 +919,7 @@ def mu_q_index(x: LocalElement) -> int | None:
     f = x.field
     theta = max(f.q // f.p + 1, f.tau - f.e * _vp_int(f.q, f.p))
     for j, root in enumerate(enumerate_mu_q(f)):
-        if (x - root).valuation() >= theta:
+        if x.diff_valuation(root) >= theta:
             return j
     return None
 

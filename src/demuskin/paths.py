@@ -504,7 +504,6 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
 
 
 def _verify_conjugation(rep, idx, seg, cur, cur_det, params):
-    f = params.field
     g = seg.g
     integral = all(x.valuation() >= 0 for row in g.rows for x in row)
     rep.add(idx, "a", integral, "g integral")
@@ -517,7 +516,7 @@ def _verify_conjugation(rep, idx, seg, cur, cur_det, params):
         return cur, cur_det
     nxt = conjugate_point(cur, g)
     new_det = det(nxt.matrices[0])
-    rep.add(idx, "d", (new_det - cur_det).valuation() >= f.tau,
+    rep.add(idx, "d", new_det.eq_at(cur_det),
             "conjugation preserves det(M_1)")
     return nxt, new_det
 
@@ -547,7 +546,7 @@ def _verify_polynomial(rep, idx, seg, cur, cur_det, params):
     d1 = det(slots[0])
     tail = min((c.valuation() for c in d1.coeffs[1:]), default=math.inf)
     rep.add(idx, "d", tail >= tau, "det(M_1) degree zero in t")
-    rep.add(idx, "d", (d1.coeff(0) - cur_det).valuation() >= tau,
+    rep.add(idx, "d", d1.coeff(0).eq_at(cur_det, tau),
             "det(M_1) value preserved")
     end = seg.eval(params, f.zero())
     return end, det(end.matrices[0])

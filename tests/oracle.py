@@ -24,6 +24,7 @@ class Oracle:
         pi[f0 if e > 1 else 0] = 1 if e > 1 else field.p  # for q = 1, pi = p
         self.one = (1,) + (0,) * (e * f0 - 1)
         self.pi = tuple(pi)
+        self._pi_pows = [self.one]
 
     def add(self, x, y):
         return tuple((a + b) % self.mod for a, b in zip(x, y))
@@ -50,10 +51,11 @@ class Oracle:
         return tuple(grid[i][j] % self.mod for i in range(e) for j in range(f0))
 
     def pi_pow(self, k):
-        out = self.one
-        for _ in range(min(k, self.K)):  # pi^K = 0
-            out = self.mul(out, self.pi)
-        return out
+        """pi^k, from a table of the powers built so far."""
+        pows = self._pi_pows
+        while len(pows) <= min(k, self.K):  # pi^K = 0
+            pows.append(self.mul(pows[-1], self.pi))
+        return pows[min(k, self.K)]
 
     def lift(self, x, c):
         """pi^c times the LocalElement x = pi^shift * digits, for

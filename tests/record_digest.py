@@ -9,11 +9,14 @@ benchmark does, then each tampered copy the workload runs, then each forged
 certificate.  The records are the certificate JSON and the verification
 report JSON of the valid certificate and of each tampered copy, and the
 report JSON of each forged certificate ("Type: message" when verification
-raises).  It prints one line `<workload> <count> <sha256>` per workload,
-then the total record count and the sha256 over all the records, each
-followed by a newline.  Two trees publish the same bytes on these inputs
-when they print the same last line; the workload lines show where bytes
-differ.
+raises).  For each workload it prints one line of exact call counts over
+its records, `<workload> calls _dig_strip=<n> _reduce_packed=<n>
+element=<n>` (the `FieldDescriptor` methods of that name), then one line
+`<workload> <count> <sha256>`; last, the total record count and the sha256
+over all the records, each followed by a newline.  Two trees publish the
+same bytes on these inputs when they print the same last line; the
+workload lines show where bytes differ, and the counts how much stripping
+and reducing it took.
 """
 
 import hashlib
@@ -28,6 +31,25 @@ from demuskin import deformation, localring, paths  # noqa: E402
 
 SEEDS = (1, 2, 3)
 ROUNDS = (0, 1, 2)
+COUNTED = ("_dig_strip", "_reduce_packed", "element")
+
+
+def count_calls():
+    """Wrap the COUNTED FieldDescriptor methods; returns the live counts."""
+    counts = dict.fromkeys(COUNTED, 0)
+
+    def wrap(name):
+        method = getattr(localring.FieldDescriptor, name)
+
+        def counted(self, *args, **kwargs):
+            counts[name] += 1
+            return method(self, *args, **kwargs)
+
+        setattr(localring.FieldDescriptor, name, counted)
+
+    for name in COUNTED:
+        wrap(name)
+    return counts
 
 
 def parse(text):
@@ -61,9 +83,11 @@ def records(wl):
 
 
 def main():
+    calls = count_calls()
     total = hashlib.sha256()
     count = 0
     for name, wl in workloads.WORKLOADS.items():
+        calls.update(dict.fromkeys(calls, 0))
         digest = hashlib.sha256()
         records_before = count
         for rec in records(wl):
@@ -71,6 +95,7 @@ def main():
             digest.update(line)
             total.update(line)
             count += 1
+        print(f"{name} calls " + " ".join(f"{k}={v}" for k, v in calls.items()))
         print(f"{name} {count - records_before} {digest.hexdigest()}")
     print(f"{count} records sha256 {total.hexdigest()}")
 

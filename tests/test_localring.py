@@ -23,6 +23,7 @@ from demuskin.localring import (
     mu_q_index,
     reduce_mod_m,
 )
+from oracle import Oracle
 
 
 @pytest.fixture(scope="module")
@@ -586,6 +587,37 @@ class TestDot:
         top = LocalElement(f, 7, (f.pM - 1,) * (f.e * f.f0))
         terms = [(top, top, 74 <= k <= 127) for k in range(129)]
         assert sequential_dot(f, terms).shift == 0
+        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+
+    @pytest.mark.parametrize("shift", [0, 5])
+    def test_block_vanishing_at_N_is_the_clean_zero_unstripped(self, monkeypatch, shift):
+        """x*y - x*y' with y' = y + pi^N w: one block whose digits are
+        lift digits only.  It is the clean zero, as the model says, and no
+        valuation is stripped to learn that."""
+        f = make_field(5, 5, 2, 32)
+        rng = random.Random(3)
+        x = f.element(shift, tuple(rng.randrange(f.pM) for _ in range(f.e * f.f0)))
+        y = f.element(1, (1,) + tuple(rng.randrange(f.pM) for _ in range(f.e * f.f0 - 1)))
+        # p^M = pi^N times a unit: the digits change from relative depth N up
+        y2 = LocalElement(f, 1, tuple((c + f.p ** f.M * rng.randrange(1, f.p)) % f.pM
+                                      for c in y.digits))
+        assert y2.digits != y.digits and y2.eq_at(y, f.N)
+        c = f.N
+        model = Oracle(f, 3 * f.N)
+        mx = model.lift(x, c)
+        want = model.add(model.mul(mx, model.lift(y, c)), model.neg(model.mul(mx, model.lift(y2, c))))
+        assert model.valuation(want) >= 2 * c + f.N
+        strips = []
+        original = FieldDescriptor._dig_strip
+
+        def counted(self, digits, v):
+            strips.append(v)
+            return original(self, digits, v)
+
+        monkeypatch.setattr(FieldDescriptor, "_dig_strip", counted)
+        terms = [(x, y, False), (x, y2, True)]
+        assert f.dot(terms) is f.zero()
+        assert strips == []
         assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
 
     def test_vanishing_sum_keeps_the_lowest_horizon(self):

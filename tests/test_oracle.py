@@ -17,6 +17,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demuskin.linalg import Mat, Poly
 from demuskin.localring import LocalElement, _shift_up, make_field
 from oracle import Oracle
 
@@ -26,6 +27,10 @@ ORACLE_SETTINGS = settings(max_examples=40, deadline=None)
 # q = 1 (e = 1) with f0 = 1 and f0 = 3 besides
 FOLD_FIELDS = ORACLE_FIELDS + [make_field(5, 1, 1, 16), make_field(3, 1, 3, 16)]
 FOLD_SETTINGS = settings(max_examples=15, deadline=None)
+
+
+# one model per field, so its table of pi-powers is built once
+DIFF_MODELS = {}
 
 
 def field_ids(f):
@@ -58,6 +63,18 @@ def product_pair(draw, f):
     return x, draw(element(f, lowest=max(-f.N, -f.N - x.shift)))
 
 
+@st.composite
+def near_pair(draw, f):
+    """x drawn by `element`, and y drawn the same way or as x + pi^k z with
+    k up to N + 3 past x's shift, so that x - y often vanishes at N or just
+    below it."""
+    x = draw(element(f))
+    if draw(st.booleans()):
+        return x, draw(element(f))
+    z = draw(element(f)).digits
+    return x, x + LocalElement(f, x.shift + draw(st.integers(0, f.N + 3)), z)
+
+
 def assert_agrees(model, r, want, c):
     """r times pi^c equals want mod pi^(c+N), and r's valuation at N is
     want's, less c."""
@@ -79,6 +96,41 @@ class TestAgainstOracle:
         assert_agrees(model, x + y, model.add(mx, my), c)
         assert_agrees(model, x - y, model.add(mx, model.neg(my)), c)
         assert_agrees(model, -x, model.neg(mx), c)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_diff_valuation(self, f, data):
+        """diff_valuation is (x - y).valuation() and the model's valuation
+        of x - y (math.inf from N on), for elements and entry by entry for
+        a 2x2 Mat and a Poly; == and, on elements and Mats, eq_at agree
+        with it."""
+        c = f.N
+        model = DIFF_MODELS.setdefault(f, Oracle(f, 2 * f.N))
+
+        def want(x, y):
+            v = model.valuation(model.add(model.lift(x, c), model.neg(model.lift(y, c)))) - c
+            return v if v < f.N else math.inf
+
+        def check(a, b, got, diff, expect):
+            assert got == diff == expect
+            if not isinstance(a, Poly):
+                for t in (0, f.tau, f.N, data.draw(st.integers(-f.N, f.N + 3))):
+                    assert a.eq_at(b, t) == (got >= t)
+            assert (a == b) == (got == math.inf)
+
+        x, y = data.draw(near_pair(f))
+        check(x, y, x.diff_valuation(y), (x - y).valuation(), want(x, y))
+        pairs = [data.draw(near_pair(f)) for _ in range(4)]
+        a = Mat(f, [[x for x, _ in pairs[:2]], [x for x, _ in pairs[2:]]])
+        b = Mat(f, [[y for _, y in pairs[:2]], [y for _, y in pairs[2:]]])
+        check(a, b, a.diff_valuation(b), (a - b).min_entry_valuation(),
+              min(want(x, y) for x, y in pairs))
+        k = data.draw(st.integers(1, 3))
+        pairs = [data.draw(near_pair(f)) for _ in range(k)]
+        lo = data.draw(st.integers(1, k))  # b may have fewer coefficients
+        a, b = Poly(f, [x for x, _ in pairs]), Poly(f, [y for _, y in pairs[:lo]])
+        check(a, b, a.diff_valuation(b), (a - b).valuation(),
+              min(want(x, y if i < lo else f.zero()) for i, (x, y) in enumerate(pairs)))
 
     @ORACLE_SETTINGS
     @given(data=st.data())

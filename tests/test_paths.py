@@ -5,7 +5,7 @@ import json
 import pytest
 
 from demuskin import deformation, linalg, paths
-from demuskin.localring import make_field
+from demuskin.localring import FieldDescriptor, make_field
 from demuskin.linalg import Mat
 from demuskin.deformation import (
     DeformationParams,
@@ -134,6 +134,27 @@ def test_verifier_expands_the_start_determinant_once(monkeypatch):
     monkeypatch.setattr(linalg, "_det_minor", counted)
     assert verify_certificate(cert).passed
     assert calls == [(1 << len(rows)) - 1]
+
+
+@pytest.mark.parametrize("n, spectrum", [(2, [1, 2]), (3, [2, 2, 0])])
+def test_verifier_strips_no_digits(monkeypatch, n, spectrum):
+    """Every comparison of the verifier is decided on aligned digits
+    (`diff_valuation`), so verifying a parsed valid certificate builds no
+    difference and strips no valuation."""
+    params = DeformationParams(make_field(5, 5, 2, 32), d=4, n=n)
+    pt = sample_point_on_V(params, seed=5, eigenvalues=spectrum)
+    text = json.dumps(extend_to_canonical(connect_to_diagonal(pt)).to_json())
+    cert = PathCertificate.from_json(json.loads(text))
+    calls = []
+    original = FieldDescriptor._dig_strip
+
+    def counted(self, x, v):
+        calls.append(v)
+        return original(self, x, v)
+
+    monkeypatch.setattr(FieldDescriptor, "_dig_strip", counted)
+    assert verify_certificate(cert).passed
+    assert calls == []
 
 
 def test_parsed_certificate_shares_the_builders_field():
