@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 from .localring import (
     FieldDescriptor,
-    LocalElement,
     LocalFieldError,
     enumerate_mu_q,
-    make_field,
     mu_q_index,
     reduce_mod_m,
 )
@@ -83,17 +81,6 @@ class DeformationParams:
         """p > n, the hypothesis under which the path pipeline works."""
         return self.field.p > self.n
 
-    def to_json(self):
-        return {"p": self.p, "q": self.q, "f0": self.field.f0,
-                "N": self.field.N, "tau": self.field.tau,
-                "d": self.d, "n": self.n}
-
-    @staticmethod
-    def from_json(blob):
-        field = make_field(int(blob["p"]), int(blob["q"]), int(blob["f0"]),
-                           int(blob["N"]), tau=blob.get("tau"))
-        return DeformationParams(field, int(blob["d"]), int(blob["n"]))
-
 
 class DeformationPoint:
     """A tuple of matrices deforming the trivial representation."""
@@ -126,40 +113,17 @@ class DeformationPoint:
     def eq_at(self, other, threshold=None):
         return all(a.eq_at(b, threshold) for a, b in zip(self.matrices, other.matrices))
 
-    def to_json(self):
-        return {"params": self.params.to_json(),
-                "matrices": [m.to_json() for m in self.matrices]}
 
-    @staticmethod
-    def from_json(blob):
-        params = DeformationParams.from_json(blob["params"])
-        mats = [Mat.from_json(params.field, m) for m in blob["matrices"]]
-        return DeformationPoint(params, mats)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ComponentLabel:
     """Connected-component label: det(M_1) = zeta^index for the fixed
-    primitive root zeta of the field."""
+    primitive root zeta of the field, i.e. enumerate_mu_q(field)[index]."""
 
     index: int
-    element: LocalElement
-
-    def __eq__(self, other):
-        return isinstance(other, ComponentLabel) and self.index == other.index
-
-    def to_json(self):
-        return {"index": self.index, "element": self.element.to_json()}
-
-    @staticmethod
-    def from_json(field, blob):
-        return ComponentLabel(int(blob["index"]),
-                              LocalElement.from_json(field, blob["element"]))
 
 
 def label_for_index(field: FieldDescriptor, index: int) -> ComponentLabel:
-    index %= max(field.q, 1)
-    return ComponentLabel(index, enumerate_mu_q(field)[index])
+    return ComponentLabel(index % max(field.q, 1))
 
 
 def relation_residual(params: DeformationParams, mats):

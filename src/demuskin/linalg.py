@@ -156,13 +156,6 @@ class Mat:
     def __repr__(self):
         return f"Mat(n={self.n}, field={self.field!r})"
 
-    def to_json(self):
-        return [[e.to_json() for e in r] for r in self.rows]
-
-    @staticmethod
-    def from_json(field, blob):
-        return Mat(field, [[LocalElement.from_json(field, e) for e in r] for r in blob])
-
 
 def _det_minor(rows, r, mask, zero, memo):
     """Determinant of rows r.. restricted to the columns in mask, as one
@@ -330,13 +323,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(deg<={len(self.coeffs)-1})"
-
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
-    @staticmethod
-    def from_json(field, blob):
-        return Poly(field, [LocalElement.from_json(field, c) for c in blob])
 
 
 def charpoly(M: Mat) -> tuple[LocalElement, ...]:

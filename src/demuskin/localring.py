@@ -618,12 +618,6 @@ class FieldDescriptor:
         d[self.f0] = 1
         return LocalElement(self, 0, tuple(d))
 
-    def from_digit_list(self, shift, digit_strings):
-        digits = tuple(int(s) % self.pM for s in digit_strings)
-        if len(digits) != self.e * self.f0:
-            raise ValueError(f"expected {self.e * self.f0} digits, got {len(digits)}")
-        return self.element(shift, digits)
-
 
 class LocalElement:
     """An element of F at working precision: pi^shift * digits.
@@ -804,17 +798,27 @@ class LocalElement:
         return f"LocalElement(shift={self.shift}, digits={self.digits})"
 
     def to_json(self):
-        """Digits are published at absolute precision N, i.e. the unit part
-        masked at relative depth N - shift, which is what equality compares.
-        For a positive shift nothing of the guard band leaves the process."""
+        """`0` for an element that is zero at N; otherwise
+        `[shift, "d_0", ..., "d_(e*f0-1)"]`, the digits published at
+        absolute precision N, i.e. the unit part masked at relative depth
+        N - shift, which is what equality compares.  For a positive shift
+        nothing of the guard band leaves the process."""
         if self.is_zero():
-            return {"shift": 0, "digits": ["0"] * (self.field.e * self.field.f0)}
+            return 0
         masked = _mask_digits(self.field, self.digits, self.field.N - self.shift)
-        return {"shift": self.shift, "digits": [str(c) for c in masked]}
+        return [self.shift, *map(str, masked)]
 
     @staticmethod
     def from_json(field, obj):
-        return field.from_digit_list(int(obj["shift"]), obj["digits"])
+        """The element `to_json` writes as obj, with the digits reduced mod
+        pM; ValueError when obj is not of that form."""
+        if type(obj) is int and obj == 0:
+            return field._zero
+        if (type(obj) is not list or len(obj) != 1 + field.e * field.f0
+                or type(obj[0]) is not int
+                or any(type(s) is not str for s in obj[1:])):
+            raise ValueError(f"expected 0 or [shift, {field.e * field.f0} digit strings]")
+        return field.element(obj[0], tuple(int(s) % field.pM for s in obj[1:]))
 
 
 def _coerce(field, x):

@@ -12,9 +12,12 @@ report JSON of each forged certificate ("Type: message" when verification
 raises).  For each workload it prints one line of exact call counts over
 its records, `<workload> calls _dig_strip=<n> _reduce_packed=<n>
 element=<n>` (the `FieldDescriptor` methods of that name), then one line
-`<workload> <count> <sha256>`; last, the total record count and the sha256
-over all the records, each followed by a newline.  Two trees publish the
-same bytes on these inputs when they print the same last line; the
+`<workload> reports <count> <sha256>` over its report records only, then
+one line `<workload> <count> <sha256>` over all its records; last, the
+total record count and the sha256 over all the records, each followed by
+a newline.  Two trees publish the same bytes on these inputs when they
+print the same last line, and the same verdicts and reports when they
+print the same `reports` lines, whatever their certificate format; the
 workload lines show where bytes differ, and the counts how much stripping
 and reducing it took.
 """
@@ -65,6 +68,7 @@ def verdict(text):
 
 
 def records(wl):
+    """(is a report, record) pairs of one workload."""
     params, forged = workloads.setup(wl)
     for seed in SEEDS:
         for r in ROUNDS:
@@ -72,14 +76,14 @@ def records(wl):
                 pt = deformation.sample_point_on_V(params, seed=point_seed, eigenvalues=spec)
                 cert = paths.extend_to_canonical(paths.connect_to_diagonal(pt))
                 text = json.dumps(cert.to_json())
-                yield text
-                yield verdict(text)
+                yield False, text
+                yield True, verdict(text)
                 for kind in wl.tampers:
                     bad = workloads.tampered_text(kind, parse(text))
-                    yield bad
-                    yield verdict(bad)
+                    yield False, bad
+                    yield True, verdict(bad)
             for fault in wl.faults:
-                yield verdict(forged[fault])
+                yield True, verdict(forged[fault])
 
 
 def main():
@@ -88,14 +92,18 @@ def main():
     count = 0
     for name, wl in workloads.WORKLOADS.items():
         calls.update(dict.fromkeys(calls, 0))
-        digest = hashlib.sha256()
-        records_before = count
-        for rec in records(wl):
+        digest, reports = hashlib.sha256(), hashlib.sha256()
+        records_before, report_count = count, 0
+        for is_report, rec in records(wl):
             line = rec.encode() + b"\n"
             digest.update(line)
             total.update(line)
             count += 1
+            if is_report:
+                reports.update(line)
+                report_count += 1
         print(f"{name} calls " + " ".join(f"{k}={v}" for k, v in calls.items()))
+        print(f"{name} reports {report_count} {reports.hexdigest()}")
         print(f"{name} {count - records_before} {digest.hexdigest()}")
     print(f"{count} records sha256 {total.hexdigest()}")
 

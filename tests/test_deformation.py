@@ -5,7 +5,6 @@ import pytest
 from demuskin.localring import enumerate_mu_q, make_field
 from demuskin.linalg import Mat, PrecisionExhaustedError, det, mat_inv, rank_at_threshold
 from demuskin.deformation import (
-    ComponentLabel,
     DeformationParams,
     DeformationPoint,
     PreconditionError,
@@ -16,7 +15,6 @@ from demuskin.deformation import (
     det_component,
     detect_eigenvalues,
     is_in_V,
-    label_for_index,
     sample_point_on_V,
 )
 
@@ -131,7 +129,7 @@ class TestDetComponent:
         pt = upper_triangular_fixture(p332)
         lab = det_component(pt)
         assert lab.index == 1
-        assert lab.element == p332.field.zeta()
+        assert enumerate_mu_q(p332.field)[lab.index] == p332.field.zeta()
 
     def test_conjugation_invariance(self, p554):
         import random
@@ -291,15 +289,3 @@ class TestEigenvalueDetection:
         pt = jordan_fixture(p332)
         assert detect_eigenvalues(pt.matrices[0]) == {1: 2}
 
-
-class TestSerialization:
-    def test_roundtrip(self, p554):
-        pt = sample_point_on_V(p554, seed=11, eigenvalues=[0, 3])
-        blob = pt.to_json()
-        back = DeformationPoint.from_json(blob)
-        assert back == pt
-
-    def test_label_roundtrip(self, p332):
-        lab = label_for_index(p332.field, 2)
-        blob = lab.to_json()
-        assert ComponentLabel.from_json(p332.field, blob) == lab

@@ -164,10 +164,10 @@ class TestArith:
             x = random_element(rng, f55)
             t = truncate(x, depth)
             assert (x - t).valuation() >= depth
-            digits = t.to_json()["digits"]
-            for i in range(f55.e):
+            digits = t.to_json()[1:] if not t.is_zero() else ()
+            for i, c in enumerate(digits[:f55.e]):
                 k = -(-(depth - t.shift - i) // f55.e)
-                assert int(digits[i]) < f55.p ** max(k, 0)
+                assert int(c) < f55.p ** max(k, 0)
 
     def test_sum_keeps_summand_past_N_at_negative_shift(self, f33):
         # relative to pi^-3 the summand pi^30 sits at depth 33 > N, inside
@@ -323,15 +323,22 @@ class TestSerialization:
         rng = random.Random(5)
         for shift in (-3, 0, 5):
             x = random_element(rng, f55, shift=shift)
-            blob = x.to_json()
+            s, *digits = x.to_json()
             for i in range(f55.e):
-                k = -(-(f55.N - blob["shift"] - i) // f55.e)
-                assert int(blob["digits"][i]) < f55.p ** k
+                k = -(-(f55.N - s - i) // f55.e)
+                assert int(digits[i]) < f55.p ** k
 
     def test_digit_strings(self, f33):
         blob = f33.zeta().to_json()
-        assert blob["shift"] == 0
-        assert all(isinstance(s, str) for s in blob["digits"])
+        assert blob[0] == 0
+        assert len(blob) == 1 + f33.e * f33.f0
+        assert all(isinstance(s, str) for s in blob[1:])
+
+    def test_zero_at_N_is_written_as_0(self, f33):
+        pi = f33.uniformizer()
+        for x in (f33.zero(), pi ** f33.N, pi.inv() * pi ** (f33.N + 1)):
+            assert x.to_json() == 0
+        assert LocalElement.from_json(f33, 0) is f33.zero()
 
 
 STRIP_FIELDS = [make_field(5, 5, 2, 32), make_field(3, 9, 2, 36), make_field(7, 7, 1, 24),
@@ -439,7 +446,7 @@ class TestUnitInverse:
         shifts = st.integers(-f.N, 2 * f.N)
         wide = st.lists(st.integers(-f.pM ** 2, f.pM ** 2),
                         min_size=f.e * f.f0, max_size=f.e * f.f0)
-        x = f.from_digit_list(data.draw(shifts), [str(c) for c in data.draw(wide)])
+        x = LocalElement.from_json(f, [data.draw(shifts), *map(str, data.draw(wide))])
         u, v = data.draw(unit_and_depth(f))
         y = f.element(data.draw(shifts), _shift_up(f, u, v))
         results = [x, y, x + y, x - y, y - x, x * y, -x]

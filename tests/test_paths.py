@@ -1,8 +1,11 @@
+import functools
 import gc
 import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demuskin import deformation, linalg, paths
 from demuskin.localring import FieldDescriptor, make_field
@@ -17,8 +20,11 @@ from demuskin.deformation import (
 from demuskin.paths import (
     BJ_SOURCE,
     BJ_STATEMENT_ID,
+    CertificateFormatError,
     CitedEquivalence,
+    ConjugationMove,
     PathCertificate,
+    PolynomialPath,
     connect_to_diagonal,
     extend_to_canonical,
     normalize_and_cite,
@@ -49,25 +55,25 @@ INERT_GRID = [
 # only together with a deliberate change of the certificate or report format.
 GOLDEN = {
     (5, 5, 2, 2, 32, 4): (
-        "473e7319f307365ff7f8d4445e7c731b6b441bb945e011e325eb45058eb0eda4",
+        "f230abbf486613d1a63d7d1fd4850454fe78c3555407bccaa1f076b743e34639",
         "ec4202b3e6b8273b0035c5fac0fd9ef3b0e0c11d74bc15a37192667e8b6b5056"),
     (5, 5, 2, 3, 32, 4): (
-        "6b65278d472396af0808c5a6555157ebd3d82f311f2f8dd3cbfbca7eb6d46a4b",
+        "942cbc6efbbdc7a7ff09753c1ddbd710f6b9aba95cd451dd5dcd384ec1c701d6",
         "334d526fc9ab2fc183b78a6dfbdd70325ef93d3814115cc81aa2fe7e90324b1a"),
     (3, 3, 2, 2, 32, 2): (
-        "9a8cdb3f1a542ff05c1bec57113deaa41ee1297cefd617ad83598435464f0f29",
+        "d220824152833aa00cbccb6c147c2bf43d5bbfb40f1938bea6cee1705423839a",
         "20ab0863bfc5826163d5aedfeaaa7a5d9a294c0f6b2b3e9cc14fc3afff46ffd4"),
     (5, 5, 2, 2, 1024, 4): (
-        "902525e555368b8f5a3ed698558af5d765cfe302f11264c5df340af907cf8722",
+        "3fe6fecc869c3d2780d84f2496368535faf4eb50636bb1fd8205fe3f41396636",
         "ec4202b3e6b8273b0035c5fac0fd9ef3b0e0c11d74bc15a37192667e8b6b5056"),
     (7, 7, 2, 4, 36, 6): (
-        "df6ec9074609eb2fbba3c77d77828f741273b3b2ae5eddd08c9c0cb3082caf33",
+        "4e9048aa590bdf5a483d4ed2fd16141358d4806a7c232b955f9c9b9f08bc4886",
         "6cab89360e2270a58c5d07f00a4ec9c7a35bdcab3548a6abd28f0309c96ec867"),
     (7, 7, 2, 5, 36, 6): (
-        "dc819d93612ca18e8bc3bedafc3f12f69289211892b111aeed864fc6a7c9ca27",
+        "4b6f42e76d4a7d92196860d2d5355cdb03e1ecc886eb1cdbcab35175de5129ff",
         "63bc16245b7bf7200d4f110a9f6fbd5ef75b0b7ca8b64fa42e4e91a14697bd90"),
     (7, 7, 2, 6, 36, 6): (
-        "6fb712b09111b7152ed657d4d083200eb393d81d9e4c3a24c3f160d1be027839",
+        "d70dd8cf42e4e479068d7a49afa488c05408f0677e3fde7a05bf911258213f19",
         "2de7bee040da0424d2591cf5c215e1dd5266d501c221b9283403e52cd06e1759"),
 }
 
@@ -215,22 +221,111 @@ def test_connect_expands_the_characteristic_polynomial_once(monkeypatch):
                for i in range(n) for j in range(n))
 
 
-@pytest.mark.parametrize("where", ["end point", "cited start", "cited end"])
-def test_points_with_other_parameters_fail_clause_c(where):
-    """A stored point whose parameters differ from the start's is not
-    compared with the chain; it fails one clause-c entry.  The chain does
-    not pass through a cited end of other parameters, so it then misses the
-    stored end point."""
-    blob = grid_certificate(*GRID[0]).to_json()
-    cited = next(s for s in blob["segments"] if s["kind"] == "cited")
-    point = {"end point": blob["end"], "cited start": cited["start"],
-             "cited end": cited["end"]}[where]
-    point["params"]["N"] = 37
-    report = verify_certificate(PathCertificate.from_json(blob))
-    want = [("c", f"{where} parameters differ from the start's")]
-    if where == "cited end":
-        want.append(("c", "chain reaches the stored end point"))
-    assert [(e.clause, e.detail) for e in report.entries if not e.ok] == want
+# --- the certificate format ------------------------------------------------------
+
+
+def certificate_elements(cert):
+    """Every element a certificate stores: the segments' g and slot
+    coefficients, then the start, end and cited points' entries."""
+    points = [cert.start, cert.end]
+    for seg in cert.segments:
+        if isinstance(seg, ConjugationMove):
+            yield from (x for r in seg.g.rows for x in r)
+        elif isinstance(seg, PolynomialPath):
+            yield from (c for slot in seg.slots for row in slot for p in row for c in p.coeffs)
+        else:
+            points += [seg.start, seg.end]
+    for pt in points:
+        yield from (x for m in pt.matrices for r in m.rows for x in r)
+
+
+@pytest.mark.parametrize("p,q,f0,n,N,d", GRID + INERT_GRID)
+def test_certificate_is_lossless_at_N(p, q, f0, n, N, d):
+    cert = grid_certificate(p, q, f0, n, N, d)
+    back = PathCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert back.label == cert.label
+    assert [s.kind for s in back.segments] == [s.kind for s in cert.segments]
+    built, parsed = list(certificate_elements(cert)), list(certificate_elements(back))
+    assert len(parsed) == len(built)
+    assert any(x.is_zero() for x in built)
+    assert all(x.diff_valuation(y) == math.inf for x, y in zip(built, parsed))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p,q,f0,N,d", [(5, 5, 2, 32, 4), (3, 3, 1, 32, 2), (7, 7, 1, 36, 6)])
+def test_certificates_of_every_matrix_size_verify(p, q, f0, N, d, n, seed):
+    """At n = 1 the contract segment's M_2(t) = 1 + t m still has degree
+    1, so the verifier's degree cap is never below 1."""
+    params = DeformationParams(make_field(p, q, f0, N), d=d, n=n)
+    pt = sample_point_on_V(params, seed=seed, eigenvalues=list(range(1, n + 1)))
+    cert = extend_to_canonical(connect_to_diagonal(pt))
+    assert verify_certificate(cert).passed
+    text = json.dumps(cert.to_json())
+    back = PathCertificate.from_json(json.loads(text))
+    assert verify_certificate(back).passed
+    assert json.dumps(back.to_json()) == text
+
+
+@functools.cache
+def grid_text():
+    return json.dumps(grid_certificate(*GRID[0]).to_json())
+
+
+def leaf_paths(blob, path=()):
+    """Key paths of the values of a JSON blob that are no dict or list."""
+    for k, v in (blob.items() if isinstance(blob, dict) else enumerate(blob)):
+        if isinstance(v, (dict, list)):
+            yield from leaf_paths(v, path + (k,))
+        else:
+            yield path + (k,)
+
+
+@functools.cache
+def mutable_leaves():
+    """Leaf paths outside params: a drawn f0 could make `make_field` search
+    an irreducible polynomial of huge degree."""
+    return [path for path in leaf_paths(json.loads(grid_text())) if path[0] != "params"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_mutated_leaf_parses_or_fails_as_a_format_error(data):
+    blob = json.loads(grid_text())
+    *head, last = data.draw(st.sampled_from(mutable_leaves()))
+    node = functools.reduce(lambda node, k: node[k], head, blob)
+    node[last] = data.draw(st.one_of(st.integers(-3, 40), st.just("x"), st.none(), st.just([])))
+    try:
+        PathCertificate.from_json(blob)
+    except CertificateFormatError:
+        pass
+
+
+def _set(node, key, value):
+    node[key] = value
+
+
+MALFORMED = {
+    "missing key": lambda b: b["segments"][0].pop("g"),
+    "wrong type": lambda b: _set(b, "label", "1"),
+    "wrong digit count": lambda b: b["start"][0][0][0].append("0"),
+    "unknown kind": lambda b: _set(b["segments"][0], "kind", "shortcut"),
+    "non-square row": lambda b: b["start"][0][0].append(0),
+    "non-square slot row": lambda b: b["segments"][1]["slots"][0][0].append([0]),
+    "point not congruent to I": lambda b: _set(b["start"][0][0], 1, b["start"][0][0][0]),
+    "missing parameter": lambda b: b["params"].pop("tau"),
+    "q = 2": lambda b: _set(b["params"], "q", 2),
+    "N below the minimum": lambda b: _set(b["params"], "N", 15),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_fails_as_a_format_error(case):
+    blob = json.loads(grid_text())
+    MALFORMED[case](blob)
+    with pytest.raises(CertificateFormatError) as exc:
+        PathCertificate.from_json(blob)
+    assert exc.value.__cause__ is not None
 
 
 # --- diagonal root-of-unity points: the input of the cited merges ---------------
