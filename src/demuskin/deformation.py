@@ -221,7 +221,10 @@ def conjugate_point(pt: DeformationPoint, g: Mat) -> DeformationPoint:
 
 
 def _random_digits(rng, field):
-    return field.element(0, tuple(rng.randrange(field.pM)
+    """Digits drawn below p^(2M) and reduced mod pM: whatever the guard
+    band, a seed gives the same digits mod pi^N."""
+    top = field.p ** (2 * field.M)
+    return field.element(0, tuple(rng.randrange(top) % field.pM
                                   for _ in range(field.e * field.f0)))
 
 

@@ -38,13 +38,9 @@ import math
 from .localring import (
     FieldDescriptor,
     LocalElement,
-    LocalFieldError,
     NotInvertibleError,
+    PrecisionExhaustedError,
 )
-
-
-class PrecisionExhaustedError(LocalFieldError):
-    """A rank or eigenspace decision fell in the ambiguity band [tau, N)."""
 
 
 class SingularMatrixError(NotInvertibleError):

@@ -4,15 +4,25 @@ The working ring is O_F for F = Q_p(zeta_q) composed with the unramified
 extension of inertia degree f0.  Internally an element of O_F is a polynomial
 in the uniformizer pi = zeta_q - 1 (degree < e = phi(q)) whose coefficients
 are polynomials in an unramified generator a (degree < f0) with integer
-coefficients mod p^(2M).  With N = e*M this quotient is exactly O_F / pi^(2N),
-the working precision N plus a guard band, so ring operations and unit
-inversion are exact; only division by a non-unit costs precision, and that is
-handled by an explicit power-of-pi shift carried next to the digits.  A LocalElement is
+coefficients mod p^(M + G/e).  With N = e*M this quotient is exactly
+O_F / pi^Nint, Nint = N + G: the working precision N plus a guard band of
+G = e*ceil(16/e) digits, whatever N.  Ring operations and unit inversion are
+exact in it; only division by a non-unit costs precision, and that is
+handled by an explicit power-of-pi shift carried next to the digits.  A
+LocalElement is
 
-    x = pi^shift * digits,   digits a unit of O_F/pi^N or the zero vector,
+    x = pi^shift * digits,   digits a unit of O_F/pi^Nint or the zero vector,
 
-which represents x exactly mod pi^(shift+N).  Negative shifts give elements
-of F = O_F[1/pi].
+known mod pi^h, its knowledge horizon (at most shift + Nint).  Negative
+shifts give elements of F = O_F[1/pi].  The horizon follows the capped
+relative ("zealous") precision model of X. Caruso, *Computations with p-adic
+numbers* (arXiv:1701.06794): a sum is known to the lower horizon of its
+terms (and to the valuation of a term that vanishes at N and is left
+out), a product x*y to min(h_x + v(y), h_y + v(x)), an inverse of
+pi^s u to h - 2s.  A decision that reads digits up to N (zero-ness,
+valuation, comparison, serialization) is decided when its answer lies below
+h; otherwise, when h < N, it raises PrecisionExhaustedError instead of
+reading lift digits.
 
 The defining Eisenstein polynomial is the degree-phi(q) factor of
 (1+pi)^q - 1, i.e. Phi_q(1+pi), so zeta_q = 1 + pi holds on the nose and the
@@ -56,6 +66,11 @@ class NotIntegralError(LocalFieldError):
 
 class SquareRootError(LocalFieldError):
     """The element has no square root in the field."""
+
+
+class PrecisionExhaustedError(LocalFieldError):
+    """A decision needs digits past what is known: an element's horizon h,
+    or a rank or eigenspace decision in the ambiguity band [tau, N)."""
 
 
 def is_prime(n: int) -> bool:
@@ -190,20 +205,28 @@ class FieldDescriptor:
 
     Attributes: p, q, f0, e (ramification index), N (working precision in
     uniformizer digits, a multiple of e), M = N/e (the same precision counted
-    in powers of p), tau (equality threshold, default ceil(3N/4)), unram and
-    eis (non-leading coefficients of the defining polynomials).
+    in powers of p), G and Nint = N + G (guard band and internal precision,
+    below), pM, tau (equality threshold, default ceil(3N/4)), unram and eis
+    (non-leading coefficients of the defining polynomials).
 
-    Internally every digit vector lives in O_F/pi^Nint with Nint = 2N: the
-    upper band is a guard, and the integer coefficients are kept modulo
-    pM = p^(2M), which matches pi^Nint.  Because the pi^i a^j basis is a
-    Z_p-basis of O_F, reducing the coefficients mod p^m instead gives
-    O_F/pi^(e*m); the Newton steps of a unit inverse work in these smaller
-    quotients, with one packing layout per modulus.  Stripping a valuation
-    v into the shift divides the digits by pi^v, which commits to one of
-    several lifts: the quotient's digits below relative depth Nint - v are
-    exact, and only those from that depth upward are a choice.  All
-    published semantics (valuation, equality, zero-ness, serialization) are
-    at precision N.
+    Internally every digit vector lives in O_F/pi^Nint with Nint = N + G,
+    G = e*ceil(16/e) guard digits, and the integer coefficients are kept
+    modulo pM = p^(M + G/e), which matches pi^Nint.  The guard covers the
+    precision that poles cost, which does not grow with N: on the bench
+    inputs (N from 32 to 1024) the lowest horizon of a product lies at
+    most 5 digits below its shift + Nint, and at most 9 over the advertised
+    parameter sets.  A larger loss makes a decision raise; it never
+    publishes a digit.  Because the pi^i a^j basis is a Z_p-basis of O_F,
+    reducing the coefficients mod p^m instead gives O_F/pi^(e*m); the
+    Newton steps of a unit inverse work in these smaller quotients, with
+    one packing layout per modulus.
+    Stripping a valuation v into the shift divides the digits by pi^v,
+    which commits to one of several lifts: the quotient's digits below
+    relative depth Nint - v are exact, and only those from that depth
+    upward are a choice.  So an element built at shift s is known mod
+    pi^(s + Nint) at best, and each element carries its horizon h (see
+    `LocalElement`).  All published semantics (valuation, equality,
+    zero-ness, serialization) are at precision N, and decided only below h.
 
     Digit vectors multiply as Kronecker-packed integers: one byte-aligned
     slot per pi^i a^j, one bigint product, then a reduction (byte
@@ -222,10 +245,10 @@ class FieldDescriptor:
     compare by identity first.
     """
 
-    __slots__ = ("p", "q", "f0", "e", "N", "Nint", "M", "pM", "tau", "unram",
+    __slots__ = ("p", "q", "f0", "e", "N", "G", "Nint", "M", "pM", "tau", "unram",
                  "eis", "_u0inv", "_mu_cache", "_one",
                  "_zero", "_inv2", "_winv", "_stride", "_lay", "_layouts",
-                 "_offsets", "__weakref__")
+                 "_offsets", "_ppow", "__weakref__")
 
     def __init__(self, p, q, f0, N, tau):
         """Takes the parameters as make_field normalizes them: N a multiple
@@ -233,11 +256,14 @@ class FieldDescriptor:
         self.p = p
         self.q = q
         self.f0 = f0
-        self.e = (q - q // p) if q >= 3 else 1
+        e = self.e = (q - q // p) if q >= 3 else 1
         self.N = N
-        self.Nint = 2 * N
-        self.M = N // self.e
-        self.pM = p ** (2 * self.M)
+        self.G = e * -(-16 // e)
+        self.Nint = N + self.G
+        self.M = N // e
+        self.pM = p ** (self.Nint // e)
+        # p^k for every k up to Nint/e, the moduli of `_mask_digits`
+        self._ppow = tuple(p ** k for k in range(self.Nint // e + 1))
         self.tau = tau
         self.unram = find_irreducible_poly(p, f0)
         if q >= 3:
@@ -258,7 +284,7 @@ class FieldDescriptor:
         self._u0inv = pow(u0, -1, self.pM)
         self._stride = 2 * f0 - 1
         self._layouts = {}
-        self._lay = self._layout(2 * self.M)
+        self._lay = self._layout(self.Nint // e)
         # every product slot at the least multiple of pM above DOT_TERMS
         # products: a signed sum of up to DOT_TERMS products plus this stays
         # inside [0, 2^(8 bb)) slot by slot, and reduces to the same digits.
@@ -291,13 +317,13 @@ class FieldDescriptor:
         """Kronecker packing layout (modulus p^m, slot bytes) for digits mod
         p^m: one byte-aligned slot per basis monomial, wide enough to hold a
         full convolution coefficient without overlap.  The full layout
-        (m = 2M) is wider still: a slot holds DOT_TERMS such coefficients
+        (m = Nint/e) is wider still: a slot holds DOT_TERMS such coefficients
         plus the signed offset of `dot`.  Built once per m."""
         lay = self._layouts.get(m)
         if lay is None:
             mod = self.p ** m
             top = self.e * self.f0 * (mod - 1) ** 2
-            if m == 2 * self.M:
+            if m == self.Nint // self.e:
                 top = 2 * DOT_TERMS * top + mod
             lay = self._layouts[m] = (mod, (top.bit_length() + 8) // 8)
         return lay
@@ -368,11 +394,14 @@ class FieldDescriptor:
         """Sum of the products x*y, each negated where neg is true, over the
         (x, y, neg) terms: equal at precision N to the chain acc = acc + x*y
         (or - x*y), with one reduction per block of e consecutive product
-        shifts instead of one per product.
+        shifts instead of one per product.  Its horizon is the lowest
+        horizon of the products (`_product_horizon`), the vanished ones
+        included, capped at the raw valuation of each product or block sum
+        it leaves out, as `+` caps it.
 
         A product that vanishes at N is left out, as `+` leaves it out.  If
         the sum vanishes or nothing is left, the result is the zero with the
-        lowest knowledge horizon (smallest shift) among the sum and the
+        lowest degraded-zero horizon (smallest shift) among the sum and the
         vanishing products, the zero that `+` keeps of two; the chain can
         end on a higher one, since it drops a vanished partial sum that a
         nonvanishing product follows.  A sum that vanishes with digits left
@@ -386,18 +415,31 @@ class FieldDescriptor:
         multiply, and the sums of the blocks are joined with `+`.  A product
         of shift s is exact mod pi^(s+Nint), so a block sum is exact mod
         pi^(s_b+Nint), as the chain is: the digits at N agree whenever
-        s_b >= -N.  For e = 1 a block is one shift."""
+        s_b >= -G.  For e = 1 a block is one shift."""
         N, e, p = self.N, self.e, self.p
         live = []
         low = None
+        h = math.inf
+        # the least raw valuation of the vanished products other than low:
+        # the result is known to no more than that past a dropped product
+        hd = math.inf
         for x, y, neg in terms:
             s = x.shift + y.shift
             dx, dy = x.digits, y.digits
-            if s >= N or not any(dx) or not any(dy):
+            nonzero = any(dx) and any(dy)
+            hp = _product_horizon(x, y, s)
+            if hp < h:
+                h = hp
+            if s >= N or not nonzero:
                 # x*y vanishes; as a zero vector at s >= 0 it is the clean zero
-                h = s if s < 0 or (any(dx) and any(dy)) else 0
-                if low is None or h <= low[0]:
-                    low = (h, x, y)
+                zs = s if s < 0 or nonzero else 0
+                vp = x._raw_valuation() + y._raw_valuation()
+                if low is None or zs <= low[0]:
+                    if low is not None and low[3] < hd:
+                        hd = low[3]
+                    low = (zs, x, y, vp)
+                elif vp < hd:
+                    hd = vp
                 continue
             live.append((s, x, y, neg))
         live.sort(key=itemgetter(0))
@@ -420,15 +462,27 @@ class FieldDescriptor:
                 # the other blocks are masked.
                 lift_only = (any(d) and not any(c % p for c in d)
                              and not any(_mask_digits(self, d, N - sb)))
-                v = self._zero if lift_only else self.element(sb, d)
+                if lift_only:
+                    v = self._zero
+                    hd = min(hd, sb + self._dig_val(d))
+                else:
+                    v = self.element(sb, d, h)
             total = v if total is None else total + v
             k = j
-        if total is not None and total.is_zero() and total.shift > 0:
+        if total is not None and total._vanishes() and total.shift > 0:
+            hd = min(hd, total._raw_valuation())
             total = self._zero  # (*)
-        if low is not None and (total is None or total.is_zero()):
-            v = low[1] * low[2]
-            total = v if total is None else total + v
-        return self._zero if total is None else total
+        if low is not None:
+            if total is None or total._vanishes():
+                v = low[1] * low[2]
+                total = v if total is None else total + v
+            elif low[3] < hd:
+                hd = low[3]
+        if total is None:
+            total = self._zero
+        if hd < h:
+            h = hd
+        return total if total.h <= h else total._at(h)
 
     def _dot_digits(self, terms):
         """Digit vector of the sum of +-pi^(s - s_b) x*y over the (s, x, y,
@@ -534,14 +588,15 @@ class FieldDescriptor:
         return x
 
     def _winv_powers(self):
-        """Packed w^(-2^j) for 2^j < 2M, where pi^e = p*w; built once."""
+        """Packed w^(-2^j) for 2^j < Nint/e, where pi^e = p*w; built once.
+        A strip depth is below Nint, so its p-exponent is below Nint/e."""
         if self._winv is None:
             w = [0] * (self.e * self.f0)
             for i in range(self.e):
                 w[i * self.f0] = (-self.eis[i] // self.p) % self.pM
             z = self._dig_inv(tuple(w))
             out = [self._pack(z)]
-            while 1 << len(out) < 2 * self.M:
+            while 1 << len(out) < self.Nint // self.e:
                 z = self._dig_mul(z, z)
                 out.append(self._pack(z))
             self._winv = tuple(out)
@@ -579,21 +634,29 @@ class FieldDescriptor:
 
     # -- element constructors ---------------------------------------------
 
-    def element(self, shift, digits):
-        """Normalized element pi^shift * digits: the digit valuation is
-        stripped into the shift, so nonzero digit vectors are units and the
-        shift is the exact valuation.  (A strip of depth v leaves the digits
-        below relative depth Nint - v exact.)  A vanished digit vector at
-        negative shift keeps the shift, recording that the value is only
-        known to vanish mod pi^(shift+Nint).  The stripped digits are a
-        unit, so the element keeps the valuation computed here."""
+    def element(self, shift, digits, h=None):
+        """Normalized element pi^shift * digits, known mod pi^h: the digit
+        valuation is stripped into the shift, so nonzero digit vectors are
+        units and the shift is the exact valuation.  A strip of depth v
+        leaves the digits below relative depth Nint - v exact, so h is
+        capped at shift + Nint with the shift before the strip (the default
+        h).  A vanished digit vector at negative shift keeps the shift,
+        recording that the value is only known to vanish mod
+        pi^(shift+N) (the rule of `linalg._classify_remaining`); at
+        nonnegative shift it is the zero of shift 0.  The stripped digits
+        are a unit, so the element keeps the valuation computed here."""
+        cap = shift + self.Nint
+        if h is None or h > cap:
+            h = cap
         v = self._dig_val(digits)
         if v is None:
-            return self._zero if shift >= 0 else LocalElement(self, shift, digits)
+            if shift < 0:
+                return LocalElement(self, shift, digits, math.inf, h)
+            return self._zero if h >= self.Nint else LocalElement(self, 0, digits, math.inf, h)
         if v:
             digits = self._dig_strip(digits, v)
             shift += v
-        return LocalElement(self, shift, digits, shift)
+        return LocalElement(self, shift, digits, shift, h)
 
     def zero(self):
         return self._zero
@@ -620,7 +683,8 @@ class FieldDescriptor:
 
 
 class LocalElement:
-    """An element of F at working precision: pi^shift * digits.
+    """An element of F at working precision: pi^shift * digits, known mod
+    pi^h.
 
     Normalized: the digit vector is a unit of the internal quotient (or the
     zero vector), so the shift is the exact valuation.  Zero-ness, equality
@@ -629,6 +693,18 @@ class LocalElement:
     meaningful on their own.  Comparisons (`==`, `eq_at`, `diff_valuation`)
     are decided on the aligned digits of the two operands and never build
     their difference as an element.
+
+    h, the knowledge horizon, is the absolute precision to which the value
+    is known: at most shift + Nint, which constants, sampled and parsed
+    elements have.  `+` keeps the lower horizon of its operands, `*` the
+    product horizon min(h_x + v(y), h_y + v(x)), `inv` h - 2*shift, and
+    `FieldDescriptor.dot` the lowest horizon of its products.  The
+    shortcuts of `+` and `dot` that drop a term vanishing at N do not
+    decide on it: they keep its horizon and cap the result's at its raw
+    valuation (at least N), past which the kept value and the sum differ.
+    A decision (`is_zero`, `valuation`, `diff_valuation`, `to_json`) whose
+    answer does not lie below h raises PrecisionExhaustedError when h < N;
+    while h >= N every decision at N is decided.
 
     Every stored digit is reduced into [0, pM): each constructor and ring
     operation reduces its result.  The shortcuts for pi^k (digits equal to
@@ -640,12 +716,13 @@ class LocalElement:
     computed on first use.
     """
 
-    __slots__ = ("field", "shift", "digits", "_pk", "_val")
+    __slots__ = ("field", "shift", "digits", "h", "_pk", "_val")
 
-    def __init__(self, field, shift, digits, val=False):
+    def __init__(self, field, shift, digits, val=False, h=None):
         self.field = field
         self.shift = shift
         self.digits = digits
+        self.h = shift + field.Nint if h is None else h
         self._pk = None
         self._val = val
 
@@ -653,6 +730,21 @@ class LocalElement:
         if self._pk is None:
             self._pk = self.field._pack(self.digits)
         return self._pk
+
+    def _at(self, h):
+        """This element known only mod pi^h, for h below its horizon."""
+        out = LocalElement(self.field, self.shift, self.digits, self._val, h)
+        out._pk = self._pk
+        return out
+
+    def _capped(self, h, dropped):
+        """This element standing for self + dropped, a term that vanishes
+        at N and is left out: known to h and to the dropped term's raw
+        valuation (at least N), past which the two differ."""
+        v = dropped._raw_valuation()
+        if v < h:
+            h = v
+        return self if self.h == h else self._at(h)
 
     def _raw_valuation(self):
         """shift + digit valuation, possibly beyond N; math.inf for a
@@ -662,26 +754,40 @@ class LocalElement:
             self._val = math.inf if v is None else self.shift + v
         return self._val
 
+    def _vanishes(self):
+        """Zero at N by its digits, whatever its horizon: the test of the
+        shortcuts that drop a vanished term.  Not a decision."""
+        return self._raw_valuation() >= self.field.N
+
     def is_zero(self) -> bool:
         """Indistinguishable from zero at the published precision N."""
-        return self._raw_valuation() >= self.field.N
+        v = self._raw_valuation()
+        N = self.field.N
+        if self.h < N:
+            _decide(self.field, v, self.h)
+        return v >= N
 
     def valuation(self):
         """Exact valuation in uniformizer digits; math.inf when the element
         is indistinguishable from zero at precision N."""
         v = self._raw_valuation()
-        return v if v < self.field.N else math.inf
+        N = self.field.N
+        if self.h < N:
+            _decide(self.field, v, self.h)
+        return v if v < N else math.inf
 
     def __add__(self, other):
         other = _coerce(self.field, other)
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        if self.is_zero():
-            # of two zeros, keep the lower knowledge horizon shift + N
-            return self if other.is_zero() and self.shift < other.shift else other
-        if other.is_zero():
-            return self
+        h = self.h if self.h < other.h else other.h
+        if self._vanishes():
+            # of two zeros, keep the lower degraded-zero horizon shift + N
+            r = self if other._vanishes() and self.shift < other.shift else other
+            return r._capped(h, other if r is self else self)
+        if other._vanishes():
+            return self._capped(h, other)
         s = min(self.shift, other.shift)
         dx = self.digits
         dy = other.digits
@@ -691,14 +797,15 @@ class LocalElement:
             dx = _shift_up(f, dx, kx)
         if ky:
             dy = _shift_up(f, dy, ky)
-        return f.element(s, f._dig_add(dx, dy))
+        return f.element(s, f._dig_add(dx, dy), h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero():
+        if self._vanishes():
             return self
-        return LocalElement(self.field, self.shift, self.field._dig_neg(self.digits), self.shift)
+        return LocalElement(self.field, self.shift, self.field._dig_neg(self.digits),
+                            self.shift, self.h)
 
     def __sub__(self, other):
         other = _coerce(self.field, other)
@@ -715,14 +822,16 @@ class LocalElement:
             return NotImplemented
         f = self.field
         shift = self.shift + other.shift
+        h = _product_horizon(self, other, shift)
         if not any(self.digits) or not any(other.digits):
-            return f.element(shift, (0,) * (f.e * f.f0))
+            return f.element(shift, (0,) * (f.e * f.f0), h)
         one = f._one.digits
         if other.digits == one:
-            return LocalElement(f, shift, self.digits, shift)
+            return LocalElement(f, shift, self.digits, shift, h)
         if self.digits == one:
-            return LocalElement(f, shift, other.digits, shift)
-        return LocalElement(f, shift, f._dig_mul_packed(self._packed(), other._packed()), shift)
+            return LocalElement(f, shift, other.digits, shift, h)
+        return LocalElement(f, shift, f._dig_mul_packed(self._packed(), other._packed()),
+                            shift, h)
 
     __rmul__ = __mul__
 
@@ -730,9 +839,10 @@ class LocalElement:
         if self.is_zero():
             raise NotInvertibleError("not invertible at precision")
         f = self.field
+        s = self.shift
         if self.digits == f._one.digits:
-            return LocalElement(f, -self.shift, self.digits, -self.shift)
-        return LocalElement(f, -self.shift, f._dig_inv(self.digits), -self.shift)
+            return LocalElement(f, -s, self.digits, -s, self.h - 2 * s)
+        return LocalElement(f, -s, f._dig_inv(self.digits), -s, self.h - 2 * s)
 
     def __truediv__(self, other):
         other = _coerce(self.field, other)
@@ -768,24 +878,28 @@ class LocalElement:
         hand to `element()`, without building the difference: those digits
         are tested for vanishing at precision N, and only a nonvanishing
         difference has its digit valuation read.  A strip never changes the
-        valuation, so this is exact."""
+        valuation, so this is exact.  Decided below the lower horizon of the
+        two, as the difference is known to it."""
         other = _coerce(self.field, other)
-        if self.is_zero():
-            return other.valuation()
-        if other.is_zero():
-            return self.valuation()
         f = self.field
-        s = min(self.shift, other.shift)
-        dx, dy = self.digits, other.digits
-        if self.shift > s:
-            dx = _shift_up(f, dx, self.shift - s)
-        if other.shift > s:
-            dy = _shift_up(f, dy, other.shift - s)
-        pM = f.pM
-        d = tuple((a - b) % pM for a, b in zip(dx, dy))
-        if not any(_mask_digits(f, d, f.N - s)):
-            return math.inf
-        return s + f._dig_val(d)
+        if self._vanishes():
+            v = other._raw_valuation()
+        elif other._vanishes():
+            v = self._raw_valuation()
+        else:
+            s = min(self.shift, other.shift)
+            dx, dy = self.digits, other.digits
+            if self.shift > s:
+                dx = _shift_up(f, dx, self.shift - s)
+            if other.shift > s:
+                dy = _shift_up(f, dy, other.shift - s)
+            pM = f.pM
+            d = tuple((a - b) % pM for a, b in zip(dx, dy))
+            v = s + f._dig_val(d) if any(_mask_digits(f, d, f.N - s)) else math.inf
+        h = self.h if self.h < other.h else other.h
+        if h < f.N:
+            _decide(f, v, h)
+        return v if v < f.N else math.inf
 
     def eq_at(self, other, threshold=None) -> bool:
         """Equality at valuation threshold (default: the field's tau)."""
@@ -793,32 +907,73 @@ class LocalElement:
         return self.diff_valuation(other) >= t
 
     def __repr__(self):
-        if self.is_zero():
-            return "LocalElement(0 at precision)"
-        return f"LocalElement(shift={self.shift}, digits={self.digits})"
+        if self._vanishes():
+            return f"LocalElement(0 at precision, h={self.h})"
+        return f"LocalElement(shift={self.shift}, digits={self.digits}, h={self.h})"
 
     def to_json(self):
         """`0` for an element that is zero at N; otherwise
         `[shift, "d_0", ..., "d_(e*f0-1)"]`, the digits published at
         absolute precision N, i.e. the unit part masked at relative depth
         N - shift, which is what equality compares.  For a positive shift
-        nothing of the guard band leaves the process."""
-        if self.is_zero():
+        nothing of the guard band leaves the process.  Raises
+        PrecisionExhaustedError when the element is known below N only, so
+        no digit past its horizon is published."""
+        f = self.field
+        if self.h < f.N:
+            raise PrecisionExhaustedError(
+                f"element known mod pi^{self.h} only, below the published precision {f.N}")
+        if self._vanishes():
             return 0
-        masked = _mask_digits(self.field, self.digits, self.field.N - self.shift)
+        masked = _mask_digits(f, self.digits, f.N - self.shift)
         return [self.shift, *map(str, masked)]
 
     @staticmethod
     def from_json(field, obj):
-        """The element `to_json` writes as obj, with the digits reduced mod
-        pM; ValueError when obj is not of that form."""
+        """The element `to_json` writes as obj; ValueError when obj is not
+        what `to_json` writes for some element: `0`, or a shift of at least
+        -G (so the element is known at N) with e*f0 digit strings, each the
+        decimal `str` of an int already masked at relative depth N - shift,
+        whose digit vector is a unit."""
         if type(obj) is int and obj == 0:
             return field._zero
         if (type(obj) is not list or len(obj) != 1 + field.e * field.f0
                 or type(obj[0]) is not int
                 or any(type(s) is not str for s in obj[1:])):
             raise ValueError(f"expected 0 or [shift, {field.e * field.f0} digit strings]")
-        return field.element(obj[0], tuple(int(s) % field.pM for s in obj[1:]))
+        shift = obj[0]
+        if shift + field.Nint < field.N:
+            raise ValueError(f"shift {shift} below -{field.G}: not known at precision {field.N}")
+        digits = tuple(map(int, obj[1:]))
+        if list(map(str, digits)) != obj[1:]:
+            raise ValueError("digit strings must be canonical decimals")
+        if _mask_digits(field, digits, field.N - shift) != digits:
+            raise ValueError(f"digits not masked at relative depth {field.N - shift}")
+        if not any(c % field.p for c in digits[:field.f0]):
+            raise ValueError("digit vector is not a unit")
+        return LocalElement(field, shift, digits, shift)
+
+
+def _decide(field, v, h):
+    """Raise PrecisionExhaustedError unless the answer v of a decision at N
+    is decided at horizon h < N: v < h."""
+    if v >= h:
+        raise PrecisionExhaustedError(
+            f"decision at valuation {v} past the horizon {h}, below the precision {field.N}")
+
+
+def _product_horizon(x, y, shift):
+    """The horizon of x*y at its shift: min(h_x + v(y), h_y + v(x)) with
+    v(z) = min(raw valuation, h), a lower bound of z's valuation that is
+    h for a vanished digit vector; capped at shift + Nint, where the digit
+    product is exact.  When both are known to shift + Nint, v(z) >= shift
+    makes that cap the horizon."""
+    hx, hy = x.h, y.h
+    cap = shift + x.field.Nint
+    if hx + hy - cap == x.field.Nint:
+        return cap
+    vx, vy = x._raw_valuation(), y._raw_valuation()
+    return min(hx + (vy if vy < hy else hy), hy + (vx if vx < hx else hx), cap)
 
 
 def _coerce(field, x):
@@ -836,13 +991,17 @@ def _mask_digits(field, digits, depth):
 
     Index i*f0+j holds the coefficient of pi^i a^j and p is pi^e times a
     unit, so a coefficient at pi-index i only matters mod p^ceil((depth-i)/e).
+    With depth = k*e + r that is p^(k+1) for the rows i < r and p^k for the
+    others, read from the field's table of p-powers; past Nint/e the modulus
+    is pM, which leaves a reduced digit as it is.
     """
-    e, f0 = field.e, field.f0
-    out = []
-    for i in range(e):
-        pk = field.p ** max(0, -(-(depth - i) // e))
-        out.extend(c % pk for c in digits[i * f0:(i + 1) * f0])
-    return tuple(out)
+    k, r = divmod(depth, field.e)
+    pows = field._ppow
+    top = len(pows) - 1
+    hi = pows[top if k >= top else k + 1 if k >= 0 else 0]
+    lo = pows[top if k > top else k if k > 0 else 0]
+    cut = r * field.f0
+    return tuple([c % hi for c in digits[:cut]] + [c % lo for c in digits[cut:]])
 
 
 def _shift_up(field, digits, k):
@@ -964,7 +1123,7 @@ def hensel_sqrt(x: LocalElement) -> LocalElement:
     d = [0] * (f.e * f.f0)
     for j in range(f.f0):
         d[j] = root[j]
-    u = LocalElement(f, 0, x.digits)
+    u = LocalElement(f, 0, x.digits, 0, x.h - x.shift)
     z = f.element(0, tuple(d))
     if f._inv2 is None:
         f._inv2 = f.from_int(2).inv()

@@ -39,9 +39,13 @@ matrix}, {"kind": "polynomial", "slots": [slot, ...]} or {"kind": "cited",
 `0` when it is zero at N and otherwise `[shift, "d_0", ...]`, its e*f0
 digits masked at relative depth N - shift.  The parser decodes by nesting
 depth (a row may begin with `0`) and fails only with
-`CertificateFormatError`.  Digits are published at N, not at tau: they are
-the value that `==` compares, so a parsed certificate equals the built one,
-and cutting them to tau waits for a verifier that computes in O_F/pi^tau.
+`CertificateFormatError`.  It accepts only what `to_json` writes: N a
+multiple of e, a label in [0, q), and elements as `LocalElement.from_json`
+reads them (canonical digit strings, masked, a unit digit vector, known at
+N), so a parsed certificate writes its input bytes back.  Digits are
+published at N, not at tau: they are the value that `==` compares, so a
+parsed certificate equals the built one, and cutting them to tau waits for
+a verifier that computes in O_F/pi^tau.
 """
 
 from __future__ import annotations
@@ -197,6 +201,10 @@ def _read_certificate(blob):
     p, q, f0, N, tau, d, n, label = ints
     params = DeformationParams(make_field(p, q, f0, N, tau), d, n)
     f = params.field
+    if f.N != N:
+        raise ValueError(f"N = {N} is not a multiple of e = {f.e}")
+    if not 0 <= label < max(q, 1):
+        raise ValueError(f"label {label} outside [0, {max(q, 1)})")
 
     def square(rows, entry):
         if type(rows) is not list or len(rows) != n or any(

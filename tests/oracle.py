@@ -7,10 +7,12 @@ these coefficient tuples are exactly O_F/pi^K for K a multiple of e.  A
 product is the schoolbook product of the two polynomials in (pi, a),
 reduced by schoolbook division by the defining polynomials: a^f0 by
 `unram`, then pi^e by `eis`.  There is no packing, no shift and no guard
-band.
+band.  `assert_agrees` checks a LocalElement result against the model.
 """
 
 import math
+
+from demuskin.localring import PrecisionExhaustedError
 
 
 class Oracle:
@@ -74,3 +76,34 @@ class Oracle:
                     v += 1
                 best = min(best, self.e * v + idx // self.f0)
         return best
+
+
+def decided(f, want, h, decide):
+    """decide(), or None where it raised PrecisionExhaustedError, which it
+    may only where the answer `want` (a valuation, math.inf from N on) does
+    not lie below the horizon h < N."""
+    try:
+        return decide()
+    except PrecisionExhaustedError:
+        assert h < f.N and want >= h
+        return None
+
+
+def assert_agrees(model, r, want, c):
+    """r times pi^c equals want mod pi^(c+min(N, h)), h the horizon of r,
+    and r's valuation and zero-ness at N are want's, less c, or raise
+    PrecisionExhaustedError past h."""
+    f = r.field
+    N = f.N
+    assert model.valuation(model.add(model.lift(r, c), model.neg(want))) >= c + min(N, r.h)
+    v = model.valuation(want) - c
+    v = v if v < N else math.inf
+    assert decided(f, v, r.h, r.valuation) in (None, v)
+    assert decided(f, v, r.h, r.is_zero) in (None, v == math.inf)
+
+
+def assert_known_at_N(*results):
+    """No loss: every result is known at N, so nothing it is asked raises."""
+    for r in results:
+        assert r.h >= r.field.N
+        r.valuation(), r.is_zero(), r.to_json()

@@ -11,7 +11,12 @@ report JSON of the valid certificate and of each tampered copy, and the
 report JSON of each forged certificate ("Type: message" when verification
 raises).  For each workload it prints one line of exact call counts over
 its records, `<workload> calls _dig_strip=<n> _reduce_packed=<n>
-element=<n>` (the `FieldDescriptor` methods of that name), then one line
+element=<n>` (the `FieldDescriptor` methods of that name), then the
+precision ledger `<workload> horizon <n>`: the least h - N over the
+elements `to_json` published and the decisions (`is_zero`, `valuation`,
+`diff_valuation`) that returned, h being the knowledge horizon the element
+or the compared pair carries; a negative n would be a decision or a
+published digit past N on an element known below N.  Then one line
 `<workload> reports <count> <sha256>` over its report records only, then
 one line `<workload> <count> <sha256>` over all its records; last, the
 total record count and the sha256 over all the records, each followed by
@@ -22,8 +27,10 @@ workload lines show where bytes differ, and the counts how much stripping
 and reducing it took.
 """
 
+import contextlib
 import hashlib
 import json
+import math
 import pathlib
 import sys
 
@@ -53,6 +60,35 @@ def count_calls():
     for name in COUNTED:
         wrap(name)
     return counts
+
+
+@contextlib.contextmanager
+def horizon_ledger():
+    """Wrap `LocalElement.to_json` and the decisions on LocalElements from
+    outside while the block runs; yields a one-item list holding the least
+    h - N seen (math.inf when none was)."""
+    low = [math.inf]
+    cls = localring.LocalElement
+    saved = {name: cls.__dict__[name]
+             for name in ("to_json", "is_zero", "valuation", "diff_valuation")}
+
+    def wrap(method, pair):
+        def watched(self, *args):
+            out = method(self, *args)
+            h = self.h
+            if pair:
+                h = min(h, localring._coerce(self.field, args[0]).h)
+            low[0] = min(low[0], h - self.field.N)
+            return out
+        return watched
+
+    for name, method in saved.items():
+        setattr(cls, name, wrap(method, name == "diff_valuation"))
+    try:
+        yield low
+    finally:
+        for name, method in saved.items():
+            setattr(cls, name, method)
 
 
 def parse(text):
@@ -94,15 +130,17 @@ def main():
         calls.update(dict.fromkeys(calls, 0))
         digest, reports = hashlib.sha256(), hashlib.sha256()
         records_before, report_count = count, 0
-        for is_report, rec in records(wl):
-            line = rec.encode() + b"\n"
-            digest.update(line)
-            total.update(line)
-            count += 1
-            if is_report:
-                reports.update(line)
-                report_count += 1
+        with horizon_ledger() as low:
+            for is_report, rec in records(wl):
+                line = rec.encode() + b"\n"
+                digest.update(line)
+                total.update(line)
+                count += 1
+                if is_report:
+                    reports.update(line)
+                    report_count += 1
         print(f"{name} calls " + " ".join(f"{k}={v}" for k, v in calls.items()))
+        print(f"{name} horizon {low[0]}")
         print(f"{name} reports {report_count} {reports.hexdigest()}")
         print(f"{name} {count - records_before} {digest.hexdigest()}")
     print(f"{count} records sha256 {total.hexdigest()}")

@@ -10,6 +10,7 @@ from demuskin.localring import (
     LocalElement,
     NotIntegralError,
     NotInvertibleError,
+    PrecisionExhaustedError,
     SquareRootError,
     UnsupportedParametersError,
     _mask_digits,
@@ -23,7 +24,7 @@ from demuskin.localring import (
     mu_q_index,
     reduce_mod_m,
 )
-from oracle import Oracle
+from oracle import Oracle, assert_agrees, assert_known_at_N
 
 
 @pytest.fixture(scope="module")
@@ -334,11 +335,74 @@ class TestSerialization:
         assert len(blob) == 1 + f33.e * f33.f0
         assert all(isinstance(s, str) for s in blob[1:])
 
+    def test_only_what_to_json_writes_parses(self, f55):
+        """A digit string that is not str(int(s)), a digit not masked at
+        N - shift (or not below pM), a digit vector that is not a unit, or
+        a shift below -G (an element not known at N) is no element's
+        JSON."""
+        f = f55
+        good = [3, "7", "1", *["0"] * (f.e * f.f0 - 2)]
+        assert LocalElement.from_json(f, good).to_json() == good
+        top = f.p ** -(-(f.N - 3) // f.e)  # row 0 is masked mod this
+        bad = [[3, "07", *good[2:]], [3, "+7", *good[2:]], [3, " 7", *good[2:]],
+               [3, "7.0", *good[2:]], [3, str(top + 7), *good[2:]], [3, "-1", *good[2:]],
+               [3, "5", "10", *good[3:]], [3, "0", *good[2:]],
+               [f.N, "1", *good[2:]], [-f.G - 1, "1", *good[2:]],
+               [-f.G, str(f.pM + 1), *good[2:]]]
+        for obj in bad:
+            with pytest.raises(ValueError):
+                LocalElement.from_json(f, obj)
+        low = [-f.G, "1", *good[2:]]
+        assert LocalElement.from_json(f, low).to_json() == low
+
     def test_zero_at_N_is_written_as_0(self, f33):
         pi = f33.uniformizer()
         for x in (f33.zero(), pi ** f33.N, pi.inv() * pi ** (f33.N + 1)):
             assert x.to_json() == 0
         assert LocalElement.from_json(f33, 0) is f33.zero()
+
+
+class TestHorizon:
+    def test_a_pole_past_the_guard_is_known_below_N(self, f33):
+        """pi^-(G+1) is known mod pi^(N-1): its valuation lies below that
+        and is decided, but its digits at N and its difference with itself
+        are not.  Multiplied back by pi^(G+1) it is known at Nint again."""
+        f = f33
+        pole = f.uniformizer() ** -(f.G + 1)
+        assert (pole.shift, pole.h) == (-(f.G + 1), f.N - 1)
+        assert pole.valuation() == -(f.G + 1)
+        for decide in (pole.to_json, (pole - pole).is_zero, lambda: pole == pole):
+            with pytest.raises(PrecisionExhaustedError):
+                decide()
+        back = pole * f.uniformizer() ** (f.G + 1)
+        assert back.h == f.Nint
+        assert back == f.one() and back.to_json() == f.one().to_json()
+
+    def test_a_dropped_term_caps_the_horizon(self):
+        """1 + pi^35 at N = 32 is 1 with pi^35 left out, so it is known to
+        pi^35 only, and so is the dot that leaves out the product pi^35.
+        Times pi^-4 it is known to pi^31, where it differs from
+        pi^-4 + pi^31: its bytes and the comparison raise instead of
+        publishing or reading that digit."""
+        f = make_field(5, 5, 2, 32)
+        x, y, z = f.one(), f.uniformizer() ** 35, f.uniformizer() ** -4
+        assert (x + y).h == (y + x).h == 35
+        assert f.dot([(x, x, False), (y, x, False)]).h == 35
+        a, b = (x + y) * z, x * z + y * z
+        assert (a.h, b.h) == (31, f.Nint - 4)
+        assert b.diff_valuation(z) == 31
+        for decide in (a.to_json, lambda: a == b, lambda: a.diff_valuation(b)):
+            with pytest.raises(PrecisionExhaustedError):
+                decide()
+
+    @pytest.mark.parametrize("p,q,f0,N,G,Nint", [
+        (5, 5, 2, 32, 16, 48), (7, 7, 2, 36, 18, 54), (5, 5, 2, 1024, 16, 1040),
+        (5, 1, 1, 16, 16, 32)])
+    def test_guard_rule(self, p, q, f0, N, G, Nint):
+        """G = e*ceil(16/e), on the fields of the three workloads and one
+        with e = 1."""
+        f = make_field(p, q, f0, N)
+        assert (f.G, f.Nint, f.pM) == (G, Nint, p ** (Nint // f.e))
 
 
 STRIP_FIELDS = [make_field(5, 5, 2, 32), make_field(3, 9, 2, 36), make_field(7, 7, 1, 24),
@@ -444,19 +508,18 @@ class TestUnitInverse:
     @given(data=st.data())
     def test_every_result_digit_is_reduced(self, f, data):
         shifts = st.integers(-f.N, 2 * f.N)
-        wide = st.lists(st.integers(-f.pM ** 2, f.pM ** 2),
-                        min_size=f.e * f.f0, max_size=f.e * f.f0)
-        x = LocalElement.from_json(f, [data.draw(shifts), *map(str, data.draw(wide))])
+        digits = st.tuples(*[st.integers(0, f.pM - 1)] * (f.e * f.f0))
+        x = f.element(data.draw(shifts), data.draw(digits))
         u, v = data.draw(unit_and_depth(f))
         y = f.element(data.draw(shifts), _shift_up(f, u, v))
         results = [x, y, x + y, x - y, y - x, x * y, -x]
-        results += [z.inv() for z in (x, y) if not z.is_zero()]
+        results += [z.inv() for z in (x, y) if any(z.digits) and not z.is_zero()]
         assert all(is_reduced(f, z) for z in results)
 
 
 def test_unit_inverse_takes_ceil_log2_newton_steps(monkeypatch):
     """The start is exact mod pi and each Newton step doubles that, so
-    ceil(log2(Nint)) = 11 steps reach Nint = 2048.  Step k makes two
+    ceil(log2(Nint)) = 11 steps reach Nint = 1040.  Step k makes two
     multiplies mod p^ceil(min(2^k, Nint)/e), and one full-width multiply
     checks the result."""
     f = make_field(5, 5, 2, 1024)
@@ -487,15 +550,30 @@ def sequential_dot(f, terms):
     return f.zero() if acc is None else acc
 
 
-def assert_same_at_N(got, want):
-    """Equal at N; a vanishing dot keeps a horizon shift + N no higher than
-    the chain's, which drops a vanished partial sum when a nonvanishing
-    product follows it."""
-    assert got.valuation() == want.valuation()
-    assert got.is_zero() == want.is_zero()
-    assert got.to_json() == want.to_json()
-    if want.is_zero():
-        assert got.shift <= want.shift
+# one model per field: factor shifts lie in [-3N, 3N], so c = 3N makes
+# every lift integral, and 7N covers each product's lift and N above it
+DOT_MODELS = {}
+
+
+def assert_same_at_N(f, terms, got, chain):
+    """The dot `got` and the chain both agree with the model mod
+    pi^min(N, h) and decide at N as it does, or raise
+    PrecisionExhaustedError past their horizon h.  Where both are known at
+    N they publish the same bytes, and a vanishing dot keeps a horizon
+    shift + N no higher than the chain's, which drops a vanished partial
+    sum when a nonvanishing product follows it."""
+    c = 3 * f.N
+    model = DOT_MODELS.setdefault(f, Oracle(f, 7 * f.N))
+    want = (0,) * (f.e * f.f0)
+    for x, y, neg in terms:
+        prod = model.mul(model.lift(x, c), model.lift(y, c))
+        want = model.add(want, model.neg(prod) if neg else prod)
+    assert_agrees(model, got, want, 2 * c)
+    assert_agrees(model, chain, want, 2 * c)
+    if got.h >= f.N and chain.h >= f.N:
+        assert got.to_json() == chain.to_json()
+        if chain.is_zero():
+            assert got.shift <= chain.shift
 
 
 @st.composite
@@ -543,7 +621,18 @@ class TestDot:
         # exact cancellations: the negation of some drawn terms
         terms += [(x, y, not neg) for x, y, neg in terms if data.draw(st.booleans())]
         terms = data.draw(st.permutations(terms))
-        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+        assert_same_at_N(f, terms, f.dot(terms), sequential_dot(f, terms))
+
+    @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_products_at_shift_minus_G_lose_nothing(self, f, data):
+        """Every product at shift -G or above: the dot is known at N, and
+        nothing asked of it raises."""
+        terms = [t for t in data.draw(st.lists(dot_term(f), max_size=10))
+                 if t[0].shift + t[1].shift >= -f.G]
+        terms += [(x, y, not neg) for x, y, neg in terms if data.draw(st.booleans())]
+        assert_known_at_N(f.dot(terms), sequential_dot(f, terms))
 
     @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
     @settings(max_examples=8, deadline=None)
@@ -557,7 +646,7 @@ class TestDot:
                                    st.lists(st.booleans(), min_size=n, max_size=n)))
         top = LocalElement(f, data.draw(st.integers(-f.N, f.N)), (f.pM - 1,) * (f.e * f.f0))
         terms = [(top, top, neg) for neg in negs]
-        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+        assert_same_at_N(f, terms, f.dot(terms), sequential_dot(f, terms))
 
     @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
     @STRIP_SETTINGS
@@ -567,7 +656,7 @@ class TestDot:
         terms = data.draw(st.lists(block_term(f, base), min_size=2, max_size=12))
         terms += [(x, y, not neg) for x, y, neg in terms if data.draw(st.booleans())]
         terms = data.draw(st.permutations(terms))
-        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+        assert_same_at_N(f, terms, f.dot(terms), sequential_dot(f, terms))
 
     @pytest.mark.parametrize("f", DOT_FIELDS, ids=field_ids)
     @settings(max_examples=8, deadline=None)
@@ -585,7 +674,7 @@ class TestDot:
         terms = [(LocalElement(f, base + k % f.e, top), unit, neg)
                  for k, neg in enumerate(negs)]
         terms = data.draw(st.permutations(terms))
-        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+        assert_same_at_N(f, terms, f.dot(terms), sequential_dot(f, terms))
 
     def test_sum_vanishing_with_digits_left_is_the_clean_zero(self):
         # 75 - 54 products pi^14 u^2 sum to valuation 16 = N; the chain
@@ -594,13 +683,14 @@ class TestDot:
         top = LocalElement(f, 7, (f.pM - 1,) * (f.e * f.f0))
         terms = [(top, top, 74 <= k <= 127) for k in range(129)]
         assert sequential_dot(f, terms).shift == 0
-        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+        assert_same_at_N(f, terms, f.dot(terms), sequential_dot(f, terms))
 
     @pytest.mark.parametrize("shift", [0, 5])
     def test_block_vanishing_at_N_is_the_clean_zero_unstripped(self, monkeypatch, shift):
         """x*y - x*y' with y' = y + pi^N w: one block whose digits are
         lift digits only.  It is the clean zero, as the model says, and no
-        valuation is stripped to learn that."""
+        valuation is stripped to learn that.  The block it leaves out has
+        valuation x.shift + y.shift + N, past which the zero is not known."""
         f = make_field(5, 5, 2, 32)
         rng = random.Random(3)
         x = f.element(shift, tuple(rng.randrange(f.pM) for _ in range(f.e * f.f0)))
@@ -623,9 +713,11 @@ class TestDot:
 
         monkeypatch.setattr(FieldDescriptor, "_dig_strip", counted)
         terms = [(x, y, False), (x, y2, True)]
-        assert f.dot(terms) is f.zero()
+        got = f.dot(terms)
+        assert (got.shift, got.digits) == (0, f.zero().digits)
+        assert got.h == x.shift + y.shift + f.N  # v(x*(y - y')), y - y' = pi^(1+N) unit
         assert strips == []
-        assert_same_at_N(f.dot(terms), sequential_dot(f, terms))
+        assert_same_at_N(f, terms, f.dot(terms), sequential_dot(f, terms))
 
     def test_vanishing_sum_keeps_the_lowest_horizon(self):
         # the chain drops lost * 1 once 1 * 1 follows it and ends on the

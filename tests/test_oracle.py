@@ -2,11 +2,15 @@
 `oracle.py`, at precision N.
 
 Every operand has a shift in [-N, 2N], and each product of two operands a
-shift of at least -N, so every result is known at N.  Multiplying through
-by pi^c, with c a multiple of e at least every pole order, makes the lifts
-of all operands integral; a result is then checked to agree with the model
-mod pi^(c'+N), where c' is the power of pi it carries, and its valuation to
-be the model's below N and math.inf from N on.
+shift of at least -N.  An operand at shift s is known mod pi^(s+Nint), so
+below s = -G (Nint = N + G) some results are known below N only.
+Multiplying through by pi^c, with c a multiple of e at least every pole
+order, makes the lifts of all operands integral; a result is then checked
+to agree with the model mod pi^(c'+min(N, h)), where c' is the power of pi
+it carries and h its horizon, and each decision at N (valuation, zero-ness,
+comparison) to be the model's, or to raise PrecisionExhaustedError where
+the model's answer does not lie below h.  Where every operand and product
+shift is at least -G, nothing raises and every result is known at N.
 
 The pi-shift and the reduction `_fold` under every product are checked
 exactly, in O_F/pi^Nint, the quotient the digits live in.
@@ -18,8 +22,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demuskin.linalg import Mat, Poly
-from demuskin.localring import LocalElement, _shift_up, make_field
-from oracle import Oracle
+from demuskin.localring import (
+    LocalElement,
+    NotInvertibleError,
+    PrecisionExhaustedError,
+    _shift_up,
+    make_field,
+)
+from oracle import Oracle, assert_agrees, assert_known_at_N, decided
 
 ORACLE_FIELDS = [make_field(5, 5, 2, 32), make_field(3, 9, 2, 36), make_field(7, 7, 1, 24),
                  make_field(3, 3, 3, 16), make_field(7, 7, 2, 36), make_field(7, 1, 2, 16)]
@@ -31,6 +41,7 @@ FOLD_SETTINGS = settings(max_examples=15, deadline=None)
 
 # one model per field, so its table of pi-powers is built once
 DIFF_MODELS = {}
+LIFT_MODELS = {}
 
 
 def field_ids(f):
@@ -56,11 +67,12 @@ def element(draw, f, lowest=None):
 
 
 @st.composite
-def product_pair(draw, f):
+def product_pair(draw, f, lowest=None):
     """Two elements with shifts in [-N, 2N] whose product shift is at least
-    -N."""
+    `lowest` (default -N) unless one of them is zero."""
+    lowest = -f.N if lowest is None else lowest
     x = draw(element(f))
-    return x, draw(element(f, lowest=max(-f.N, -f.N - x.shift)))
+    return x, draw(element(f, lowest=max(-f.N, lowest - x.shift)))
 
 
 @st.composite
@@ -73,15 +85,6 @@ def near_pair(draw, f):
         return x, draw(element(f))
     z = draw(element(f)).digits
     return x, x + LocalElement(f, x.shift + draw(st.integers(0, f.N + 3)), z)
-
-
-def assert_agrees(model, r, want, c):
-    """r times pi^c equals want mod pi^(c+N), and r's valuation at N is
-    want's, less c."""
-    N = r.field.N
-    assert model.valuation(model.add(model.lift(r, c), model.neg(want))) >= c + N
-    v = model.valuation(want) - c
-    assert r.valuation() == (v if v < N else math.inf)
 
 
 @pytest.mark.parametrize("f", ORACLE_FIELDS, ids=field_ids)
@@ -103,7 +106,10 @@ class TestAgainstOracle:
         """diff_valuation is (x - y).valuation() and the model's valuation
         of x - y (math.inf from N on), for elements and entry by entry for
         a 2x2 Mat and a Poly; == and, on elements and Mats, eq_at agree
-        with it."""
+        with it.  On elements all of them raise PrecisionExhaustedError
+        together, where the answer does not lie below the horizon; on a Mat
+        or Poly each either agrees or raises, and may raise only where some
+        entry pair's answer does not lie below its horizon h < N."""
         c = f.N
         model = DIFF_MODELS.setdefault(f, Oracle(f, 2 * f.N))
 
@@ -113,24 +119,48 @@ class TestAgainstOracle:
 
         def check(a, b, got, diff, expect):
             assert got == diff == expect
-            if not isinstance(a, Poly):
-                for t in (0, f.tau, f.N, data.draw(st.integers(-f.N, f.N + 3))):
-                    assert a.eq_at(b, t) == (got >= t)
+            for t in (0, f.tau, f.N, data.draw(st.integers(-f.N, f.N + 3))):
+                assert a.eq_at(b, t) == (got >= t)
             assert (a == b) == (got == math.inf)
 
         x, y = data.draw(near_pair(f))
-        check(x, y, x.diff_valuation(y), (x - y).valuation(), want(x, y))
+        got = decided(f, want(x, y), min(x.h, y.h), lambda: x.diff_valuation(y))
+        if got is None:
+            for decide in (lambda: x == y, lambda: x.eq_at(y), (x - y).valuation):
+                with pytest.raises(PrecisionExhaustedError):
+                    decide()
+        else:
+            check(x, y, got, (x - y).valuation(), want(x, y))
+
+        def check_entries(a, b, diff, pairs):
+            expect = min(want(x, y) for x, y in pairs)
+            may_raise = any(min(x.h, y.h) < f.N and want(x, y) >= min(x.h, y.h)
+                            for x, y in pairs)
+
+            def ask(decide):
+                try:
+                    return decide()
+                except PrecisionExhaustedError:
+                    assert may_raise
+                    return None
+
+            assert ask(lambda: a.diff_valuation(b)) in (None, expect)
+            assert ask(diff) in (None, expect)
+            if not isinstance(a, Poly):
+                for t in (0, f.tau, f.N, data.draw(st.integers(-f.N, f.N + 3))):
+                    assert ask(lambda: a.eq_at(b, t)) in (None, expect >= t)
+            assert ask(lambda: a == b) in (None, expect == math.inf)
+
         pairs = [data.draw(near_pair(f)) for _ in range(4)]
         a = Mat(f, [[x for x, _ in pairs[:2]], [x for x, _ in pairs[2:]]])
         b = Mat(f, [[y for _, y in pairs[:2]], [y for _, y in pairs[2:]]])
-        check(a, b, a.diff_valuation(b), (a - b).min_entry_valuation(),
-              min(want(x, y) for x, y in pairs))
+        check_entries(a, b, lambda: (a - b).min_entry_valuation(), pairs)
         k = data.draw(st.integers(1, 3))
         pairs = [data.draw(near_pair(f)) for _ in range(k)]
         lo = data.draw(st.integers(1, k))  # b may have fewer coefficients
         a, b = Poly(f, [x for x, _ in pairs]), Poly(f, [y for _, y in pairs[:lo]])
-        check(a, b, a.diff_valuation(b), (a - b).valuation(),
-              min(want(x, y if i < lo else f.zero()) for i, (x, y) in enumerate(pairs)))
+        check_entries(a, b, lambda: (a - b).valuation(),
+                      [(x, y if i < lo else f.zero()) for i, (x, y) in enumerate(pairs)])
 
     @ORACLE_SETTINGS
     @given(data=st.data())
@@ -175,6 +205,67 @@ class TestAgainstOracle:
             prod = model.mul(model.lift(x, c), model.lift(y, c))
             want = model.add(want, model.neg(prod) if neg else prod)
         assert_agrees(model, f.dot(terms), want, 2 * c)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_nothing_is_lost_from_shift_minus_G(self, f, data):
+        """Operands and products at shift -G or above (the zero is at
+        shift 0): every sum, product and dot is known at N, and nothing
+        asked of it raises."""
+        x, y = data.draw(element(f, -f.G)), data.draw(element(f, -f.G))
+        pairs = [(a, b) for a, b in data.draw(st.lists(product_pair(f, -f.G), max_size=8))
+                 if a.shift + b.shift >= -f.G]
+        terms = [(a, b, data.draw(st.booleans())) for a, b in pairs]
+        terms += [(a, b, not neg) for a, b, neg in terms if data.draw(st.booleans())]
+        assert_known_at_N(x + y, x - y, -x, f.dot(terms), *(a * b for a, b in pairs))
+        x.diff_valuation(y), x.eq_at(y), x == y
+
+
+@st.composite
+def two_lifts(draw, f):
+    """An element known only mod pi^h, h drawn from its shift up to
+    shift + Nint, and another lift of the same value: pi^h z added, which
+    changes its digits from relative depth h - shift on."""
+    x = draw(element(f))
+    h = draw(st.integers(x.shift, x.shift + f.Nint))
+    if h < x.h:
+        x = x._at(h)
+    return x, x + LocalElement(f, h, draw(element(f)).digits)
+
+
+@pytest.mark.parametrize("f", ORACLE_FIELDS, ids=field_ids)
+class TestHorizonBoundsTheLift:
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_results_agree_below_their_horizon_whatever_the_lift(self, f, data):
+        """Each operand is replaced by another lift of what it is known to
+        be: every sum, product, dot and inverse is the same mod
+        pi^min(N, h) for the horizon h of either result, and where both
+        decide a valuation they decide the same one."""
+        (x, x2), (y, y2) = data.draw(two_lifts(f)), data.draw(two_lifts(f))
+        negs = [data.draw(st.booleans()) for _ in range(3)]
+
+        def ops(x, y):
+            out = [x + y, x - y, x * y,
+                   f.dot([(x, y, negs[0]), (y, x, negs[1]), (x, x, negs[2])])]
+            try:
+                out.append(x.inv())
+            except (PrecisionExhaustedError, NotInvertibleError):
+                pass
+            return out
+
+        def valuation(r):
+            try:
+                return r.valuation()
+            except PrecisionExhaustedError:
+                return None
+
+        c = 3 * f.N
+        model = LIFT_MODELS.setdefault(f, Oracle(f, 7 * f.N))
+        for r, r2 in zip(ops(x, y), ops(x2, y2)):
+            h = min(f.N, max(r.h, r2.h))
+            assert model.valuation(model.add(model.lift(r, c), model.neg(model.lift(r2, c)))) >= c + h
+            assert None in (valuation(r), valuation(r2)) or valuation(r) == valuation(r2)
 
 
 def digit_vector(f):

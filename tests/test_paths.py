@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from demuskin.deformation import (
     DeformationParams,
     DeformationPoint,
     PreconditionError,
+    conjugate_point,
     label_for_index,
     sample_point_on_V,
 )
@@ -30,6 +32,7 @@ from demuskin.paths import (
     normalize_and_cite,
     verify_certificate,
 )
+from record_digest import horizon_ledger
 
 GRID = [
     (5, 5, 2, 2, 32, 4),
@@ -104,6 +107,17 @@ def test_certificate_and_report_match_golden_digest(point):
     cert = grid_certificate(*point)
     got = (sha256_json(cert.to_json()), sha256_json(verify_certificate(cert).to_json()))
     assert got == GOLDEN[point]
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_no_lift_digit_is_read_or_published(point):
+    """The precision ledger of `record_digest.py` over building,
+    publishing, parsing and verifying a grid certificate: every element
+    published and every decision taken is known at N, h - N >= 0."""
+    with horizon_ledger() as low:
+        text = json.dumps(grid_certificate(*point).to_json())
+        assert verify_certificate(PathCertificate.from_json(json.loads(text))).passed
+    assert 0 <= low[0] < math.inf
 
 
 def test_verifier_checks_each_relation_once(monkeypatch):
@@ -251,6 +265,17 @@ def test_certificate_is_lossless_at_N(p, q, f0, n, N, d):
     assert all(x.diff_valuation(y) == math.inf for x, y in zip(built, parsed))
 
 
+def assert_certificate_closes(pt):
+    """The certificate of pt verifies, and so does its parsed JSON, which
+    writes the same bytes back."""
+    cert = extend_to_canonical(connect_to_diagonal(pt))
+    assert verify_certificate(cert).passed
+    text = json.dumps(cert.to_json())
+    back = PathCertificate.from_json(json.loads(text))
+    assert verify_certificate(back).passed
+    assert json.dumps(back.to_json()) == text
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("p,q,f0,N,d", [(5, 5, 2, 32, 4), (3, 3, 1, 32, 2), (7, 7, 1, 36, 6)])
@@ -258,13 +283,59 @@ def test_certificates_of_every_matrix_size_verify(p, q, f0, N, d, n, seed):
     """At n = 1 the contract segment's M_2(t) = 1 + t m still has degree
     1, so the verifier's degree cap is never below 1."""
     params = DeformationParams(make_field(p, q, f0, N), d=d, n=n)
-    pt = sample_point_on_V(params, seed=seed, eigenvalues=list(range(1, n + 1)))
-    cert = extend_to_canonical(connect_to_diagonal(pt))
-    assert verify_certificate(cert).passed
-    text = json.dumps(cert.to_json())
-    back = PathCertificate.from_json(json.loads(text))
-    assert verify_certificate(back).passed
-    assert json.dumps(back.to_json()) == text
+    assert_certificate_closes(
+        sample_point_on_V(params, seed=seed, eigenvalues=list(range(1, n + 1))))
+
+
+# Every field (p, q, f0, N) of the advertised domain that is tested, with
+# d = e: q from 3 to 27, e from 2 to 20, f0 up to 3.
+DOMAIN_FIELDS = [(3, 3, 1, 32), (3, 3, 2, 32), (3, 9, 1, 48), (5, 5, 1, 32), (5, 5, 2, 32),
+                 (5, 5, 3, 32), (5, 25, 1, 80), (7, 7, 1, 36), (7, 7, 2, 36), (3, 27, 1, 72),
+                 (11, 11, 1, 40)]
+
+
+@st.composite
+def domain_point(draw):
+    """A sampled point on any domain field, with n from 1 to min(p - 1, 4)
+    and any spectrum."""
+    p, q, f0, N = draw(st.sampled_from(DOMAIN_FIELDS))
+    f = make_field(p, q, f0, N)
+    n = draw(st.integers(1, min(p - 1, 4)))
+    spectrum = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    params = DeformationParams(f, d=f.e, n=n)
+    return sample_point_on_V(params, seed=draw(st.integers(0, 2 ** 32)), eigenvalues=spectrum)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pt=domain_point())
+def test_every_advertised_parameter_set_closes(pt):
+    """q >= 3 and p > n are all that connect_to_diagonal asks: every such
+    sampled point gets a certificate that verifies and round-trips, and
+    no decision exhausts the precision."""
+    assert_certificate_closes(pt)
+
+
+def non_semisimple_point(p, q, f0, N, seed):
+    """M_1 = I + x E_01 with x in m and M_2 = diag(q + 1, 1), so that
+    M_2 M_1 M_2^-1 = M_1^(q+1), conjugated by a random g in 1 + M_2(m): a
+    point of V whose M_1 the sampler never draws."""
+    f = make_field(p, q, f0, N)
+    params = DeformationParams(f, d=f.e, n=2)
+    rng = random.Random(seed)
+    one, zero, pi = f.one(), f.zero(), f.uniformizer()
+    x = pi * f.from_int(rng.randrange(1, p ** 4))
+    m1 = Mat(f, [[one, x], [zero, one]])
+    m2 = Mat.diag(f, [f.from_int(q + 1), one])
+    g = Mat(f, [[(one if i == j else zero) + pi * f.from_int(rng.randrange(p ** 4))
+                 for j in range(2)] for i in range(2)])
+    pt = DeformationPoint(params, [m1, m2] + [Mat.identity(f, 2)] * (params.tuple_length - 2))
+    return conjugate_point(pt, g)
+
+
+@pytest.mark.parametrize("p,q,f0,N,seed", [(5, 5, 2, 32, 1), (3, 3, 1, 32, 2),
+                                           (7, 7, 1, 36, 3)])
+def test_non_semisimple_points_close(p, q, f0, N, seed):
+    assert_certificate_closes(non_semisimple_point(p, q, f0, N, seed))
 
 
 @functools.cache
@@ -294,11 +365,13 @@ def test_a_mutated_leaf_parses_or_fails_as_a_format_error(data):
     blob = json.loads(grid_text())
     *head, last = data.draw(st.sampled_from(mutable_leaves()))
     node = functools.reduce(lambda node, k: node[k], head, blob)
-    node[last] = data.draw(st.one_of(st.integers(-3, 40), st.just("x"), st.none(), st.just([])))
+    node[last] = data.draw(st.one_of(st.integers(-3, 40), st.none(), st.just([]),
+                                     st.sampled_from(["x", "0", "1", "05", "+5", " 5"])))
     try:
-        PathCertificate.from_json(blob)
+        cert = PathCertificate.from_json(blob)
     except CertificateFormatError:
-        pass
+        return
+    assert json.dumps(cert.to_json()) == json.dumps(blob)
 
 
 def _set(node, key, value):
@@ -316,6 +389,13 @@ MALFORMED = {
     "missing parameter": lambda b: b["params"].pop("tau"),
     "q = 2": lambda b: _set(b["params"], "q", 2),
     "N below the minimum": lambda b: _set(b["params"], "N", 15),
+    "N not a multiple of e": lambda b: _set(b["params"], "N", 33),
+    "label outside [0, q)": lambda b: _set(b, "label", 5),
+    "digit string not canonical": lambda b: _set(b["start"][0][0][0], 1,
+                                                 "0" + b["start"][0][0][0][1]),
+    "digit not masked": lambda b: _set(b["start"][0][0][0], 1,
+                                       str(int(b["start"][0][0][0][1]) + 5 ** 8)),
+    "digit vector not a unit": lambda b: _set(b["start"][0][0][1], slice(1, 3), ["5", "5"]),
 }
 
 
