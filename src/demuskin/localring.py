@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import namedtuple
 from operator import itemgetter
 
 # Most products `FieldDescriptor.dot` sums in one block before one
@@ -200,6 +201,27 @@ def _cyclotomic_shifted(p: int, q: int) -> list[int]:
     return out
 
 
+def _residues(low, count, mod):
+    """x^k mod the monic x^d + sum_i low[i] x^i, d = len(low), for k = d,
+    ..., d + count - 1: coefficient lists, each coefficient the symmetric
+    residue mod `mod`."""
+    half = mod // 2
+    r, out = [-c for c in low], []
+    for _ in range(count):
+        r = [(c + half) % mod - half for c in r]
+        out.append(r)
+        r = [(r[i - 1] if i else 0) - r[-1] * c for i, c in enumerate(low)]
+    return out
+
+
+# A packing layout (`FieldDescriptor._layout`): the modulus, slot bytes,
+# bits per pi-row and in the e low rows, masks of one row and of the low
+# rows, the packed residues P_k, the mask of one slot column, (bit shift,
+# packed residue) per a-column, the offset, and the byte start of each
+# digit slot.
+_Layout = namedtuple("_Layout", "mod bb rowbits lowbits rowmask lowmask pis amask apows off starts")
+
+
 class FieldDescriptor:
     """Finite-precision model of O_F and F = Frac(O_F).
 
@@ -229,17 +251,20 @@ class FieldDescriptor:
     zero-ness, serialization) are at precision N, and decided only below h.
 
     Digit vectors multiply as Kronecker-packed integers: one byte-aligned
-    slot per pi^i a^j, one bigint product, then a reduction (byte
-    extraction, then `_fold`, one mod pM).  The slots of the full layout
-    have headroom for the sum of DOT_TERMS products, so `dot` adds the
-    products of a block of e consecutive shifts unreduced and reduces once.
-    Multiplying by pi^b with b < e moves a packed product up by b pi-rows,
-    so a block sum has up to 3e - 2 rows; `_fold` takes any number of rows,
-    and a pi-shift of a digit vector is the same fold of the rows moved up.
-    For a signed sum `dot` adds a precomputed packed offset whose every slot
-    is a multiple of pM at least DOT_TERMS products deep: the slots stay
-    nonnegative, so one to_bytes still splits them, and the offset vanishes
-    in the final mod.
+    slot per pi^i a^j, one bigint product, then a reduction on the packed
+    integer itself (`_reduce_packed`): each pi-row k >= e folds into the
+    low e rows with one multiply by the packed residue of pi^k mod eis,
+    each a-column j >= f0 with one multiply by the residue of a^j mod
+    unram, then one to_bytes and one mod p^m per digit.  The slots of the
+    full layout have headroom for the sum of DOT_TERMS products, so `dot`
+    adds the products of a block of e consecutive shifts unreduced and
+    reduces once.  Multiplying by pi^b with b < e moves a packed product up
+    by b pi-rows, so a block sum has up to 3e - 2 rows, each with its
+    residue in the layout.  For a signed sum `dot` adds a precomputed packed
+    offset whose every slot is a multiple of pM at least DOT_TERMS products
+    deep: the slots stay nonnegative, so the rows still split, and the
+    offset vanishes in the final mod.  A pi-shift of a digit vector by up to
+    Nint rows (`_shift_up`) is folded by schoolbook division (`_fold`).
 
     make_field returns one shared descriptor per parameter set, so fields
     compare by identity first.
@@ -289,9 +314,8 @@ class FieldDescriptor:
         # products: a signed sum of up to DOT_TERMS products plus this stays
         # inside [0, 2^(8 bb)) slot by slot, and reduces to the same digits.
         # Offset b covers the 2e - 1 + b rows of products moved up by at
-        # most b pi-rows; its top slot stays nonzero in any such sum, so the
-        # sum's bit length gives `_reduce_packed` its row count.
-        pM, bb = self.pM, self._lay[1]
+        # most b pi-rows.
+        pM, bb = self.pM, self._lay.bb
         slot = pM * -(-(DOT_TERMS * e * f0 * (pM - 1) ** 2) // pM)
         self._offsets = tuple(sum(slot << (8 * bb * k) for k in range((2 * e - 1 + b) * self._stride))
                               for b in range(e))
@@ -314,18 +338,61 @@ class FieldDescriptor:
     # -- digit-level arithmetic (flat tuples, index i*f0+j <-> pi^i a^j) --
 
     def _layout(self, m):
-        """Kronecker packing layout (modulus p^m, slot bytes) for digits mod
-        p^m: one byte-aligned slot per basis monomial, wide enough to hold a
-        full convolution coefficient without overlap.  The full layout
-        (m = Nint/e) is wider still: a slot holds DOT_TERMS such coefficients
-        plus the signed offset of `dot`.  Built once per m."""
+        """Kronecker packing layout for digits mod p^m, built once per m.
+
+        A packed product has one byte-aligned slot per monomial pi^i a^j, a
+        row of 2 f0 - 1 slots per power of pi; `_reduce_packed` takes slots
+        in [0, top], one convolution coefficient, or for the full layout
+        (m = Nint/e) DOT_TERMS of them plus the signed offset of `dot`.  The
+        layout also holds what that reduction folds with: the packed
+        residue P_k = sum_i r_k[i] 2^(i*rowbits), r_k the coefficients of
+        pi^k mod eis, for every pi-row k in [e, max(3e - 2, e + 1)) that a
+        product or dot block can have; the residue of a^j mod unram, packed
+        over one row, for each column j in [f0, 2 f0 - 1); and one offset,
+        a multiple of p^m in every slot of the low e rows.  Each residue
+        coefficient is the symmetric residue mod p^m, far below the exact
+        one where p^m is small.  The offset lifts every slot to
+        nonnegative before the columns are split and again before the
+        digits are, and the slot width holds the largest slot either fold
+        can make: top times 1 + sum_k |r_k[i]|, then the same growth by the
+        a-residues, offsets included."""
         lay = self._layouts.get(m)
         if lay is None:
+            e, f0, S = self.e, self.f0, self._stride
             mod = self.p ** m
-            top = self.e * self.f0 * (mod - 1) ** 2
-            if m == self.Nint // self.e:
+            top = e * f0 * (mod - 1) ** 2
+            if m == self.Nint // e:
                 top = 2 * DOT_TERMS * top + mod
-            lay = self._layouts[m] = (mod, (top.bit_length() + 8) // 8)
+            pis = _residues(self.eis, max(2 * e - 2, 1), mod)
+            apows = _residues(self.unram, f0 - 1, mod)
+
+            def lift(v):  # least multiple of mod that is at least v
+                return mod * -(-v // mod)
+
+            offs, high = [], top
+            for i in range(e):
+                # slot (i, j) with the pi-rows folded in: in [-top*neg,
+                # top*(1 + pos)], then in [0, b] with the offset o
+                o = lift(top * sum(max(-r[i], 0) for r in pis))
+                b = top * (1 + sum(max(r[i], 0) for r in pis)) + o
+                row = [o] * S
+                for j in range(f0):
+                    # and column j < f0 with the a-columns folded in
+                    o2 = lift(b * sum(max(-a[j], 0) for a in apows))
+                    row[j] += o2
+                    high = max(high, b + o2 + b * sum(max(a[j], 0) for a in apows))
+                offs.append(row)
+            bb = -(-high.bit_length() // 8)
+            w = 8 * bb
+            rowbits = w * S
+            lay = self._layouts[m] = _Layout(
+                mod, bb, rowbits, e * rowbits, (1 << rowbits) - 1, (1 << e * rowbits) - 1,
+                tuple(sum(c << i * rowbits for i, c in enumerate(r)) for r in pis),
+                sum(((1 << w) - 1) << i * rowbits for i in range(e)),
+                tuple((j * w, sum(c << k * w for k, c in enumerate(a)))
+                      for j, a in enumerate(apows, f0)),
+                sum(o << i * rowbits + j * w for i, row in enumerate(offs) for j, o in enumerate(row)),
+                tuple((i * S + j) * bb for i in range(e) for j in range(f0)))
         return lay
 
     def _pack(self, x, lay=None):
@@ -344,35 +411,40 @@ class FieldDescriptor:
 
     def _reduce_packed(self, z, lay=None):
         """Digits of a packed product, or of a packed sum of products moved
-        up by whole pi-rows: byte extraction, then `_fold` at the layout's
-        modulus (default: the full layout, mod pM).  Only the pi-rows
-        present in z are read, so z.bit_length() counts them; a `dot`
-        offset has a nonzero top slot, which makes that count its row
-        count."""
-        mod, bb = lay or self._lay
-        S = self._stride
-        rows = max(self.e, -(-z.bit_length() // (8 * S * bb)))
-        buf = z.to_bytes(rows * S * bb, "little")
+        up by whole pi-rows (at most 3e - 2 rows), mod the layout's modulus
+        (default: the full layout, mod pM), folded on the packed integer:
+        the low e rows plus the layout's offset, one multiply-add of each
+        higher pi-row k by its packed residue P_k, one multiply-add of each
+        a-column j >= f0 by the packed residue of a^j, then one to_bytes
+        and one mod per digit slot."""
+        (mod, bb, rowbits, lowbits, rowmask, lowmask, pis, amask, apows, off,
+         starts) = lay or self._lay
+        acc = (z & lowmask) + off
+        z >>= lowbits
+        for pk in pis:
+            if not z:
+                break
+            acc += (z & rowmask) * pk
+            z >>= rowbits
+        for shift, aj in apows:
+            acc += ((acc >> shift) & amask) * aj
+        buf = acc.to_bytes(lowbits // 8, "little")
         fb = int.from_bytes
-        slots = [fb(buf[i:i + bb], "little") for i in range(0, len(buf), bb)]
-        return self._fold([slots[i:i + S] for i in range(0, len(slots), S)], mod)
+        return tuple([fb(buf[i:i + bb], "little") % mod for i in starts])
 
     def _fold(self, acc, mod):
         """Digit vector mod `mod` of sum_k pi^k sum_j acc[k][j] a^j, for at
-        least e rows of at least f0 integers each, by schoolbook division by
-        the defining polynomials: top down, a^j for j >= f0 folds into
-        a^(j-f0) ... a^(j-1) by `unram` in every row, then pi^k for k >= e
-        into pi^(k-e) ... pi^(k-1) by `eis`.  The rows are changed in place;
-        one mod at the end."""
+        least e rows of f0 integers each, by schoolbook division by `eis`:
+        top down, pi^k for k >= e folds into pi^(k-e) ... pi^(k-1).  The
+        rows are changed in place; one mod at the end.
+
+        Only `_shift_up` folds this way.  Its rows are single digits, not
+        convolution sums, and it moves them up by up to Nint rows, far more
+        than a product has; the packed fold of `_reduce_packed` would need
+        a residue per row and slots as wide as a product's, and a one-row
+        shift on (5,5,2,1024) costs about five times as much that way."""
         e, f0 = self.e, self.f0
-        ured = [(m, -u) for m, u in enumerate(self.unram) if u]
         pired = [(i, -c) for i, c in enumerate(self.eis) if c]
-        for row in acc:
-            for j in range(len(row) - 1, f0 - 1, -1):
-                c = row[j]
-                if c:
-                    for m, u in ured:
-                        row[j - f0 + m] += c * u
         for k in range(len(acc) - 1, e - 1, -1):
             row = acc[k]
             for j in range(f0):
@@ -494,7 +566,7 @@ class FieldDescriptor:
         its partner's packed digits with no bigint product."""
         one = self._one.digits
         sb = terms[0][0]
-        rowbits = 8 * self._lay[1] * self._stride
+        rowbits = self._lay.rowbits
         out = None
         for k in range(0, len(terms), DOT_TERMS):
             batch = terms[k:k + DOT_TERMS]
@@ -612,18 +684,23 @@ class FieldDescriptor:
         """Inverse of a unit digit vector, exact in O_F/pi^Nint.
 
         Newton z <- z(2 - u z) from the residue-field inverse, which is exact
-        mod pi.  Step k doubles the known precision to P_k = min(2^k, Nint)
-        digits and works mod p^m with m = ceil(P_k/e), i.e. in
-        O_F/pi^(e*m), so each step multiplies numbers only as wide as the
-        precision it reaches.  The last step works mod pM, and a unit has one
-        inverse there, so the digits are the canonical ones; a final
-        full-width u*z == 1 check guards non-units.
+        mod pi.  A step at most doubles the known precision, so the steps
+        reach P = 2, ..., ceil(Nint/4), ceil(Nint/2), Nint digits, the
+        halvings of Nint taken from the bottom up: ceil(log2(Nint)) steps,
+        with only the last at full width.  The step to P works mod p^m with
+        m = ceil(P/e), i.e. in O_F/pi^(e*m), so it multiplies numbers only
+        as wide as the precision it reaches.  The last step works mod pM,
+        and a unit has one inverse there, so the digits are the canonical
+        ones; a final full-width u*z == 1 check guards non-units.
         """
-        e, f0, p, Nint = self.e, self.f0, self.p, self.Nint
+        e, f0, p = self.e, self.f0, self.p
         z = self._k_inv(tuple(u[j] % p for j in range(f0))) + (0,) * ((e - 1) * f0)
-        for k in range(1, math.ceil(math.log2(Nint)) + 1):
-            lay = self._layout(-(-min(1 << k, Nint) // e))
-            mod = lay[0]
+        steps = [self.Nint]
+        while steps[-1] > 2:
+            steps.append(-(-steps[-1] // 2))
+        for P in reversed(steps):
+            lay = self._layout(-(-P // e))
+            mod = lay.mod
             zp = self._pack(z, lay)
             t = self._dig_mul_packed(self._pack(tuple(c % mod for c in u), lay), zp, lay)
             t = ((2 - t[0]) % mod,) + tuple(-c % mod for c in t[1:])

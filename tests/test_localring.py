@@ -518,10 +518,12 @@ class TestUnitInverse:
 
 
 def test_unit_inverse_takes_ceil_log2_newton_steps(monkeypatch):
-    """The start is exact mod pi and each Newton step doubles that, so
-    ceil(log2(Nint)) = 11 steps reach Nint = 1040.  Step k makes two
-    multiplies mod p^ceil(min(2^k, Nint)/e), and one full-width multiply
-    checks the result."""
+    """The start is exact mod pi and each Newton step at most doubles
+    that, so the steps reach the halvings of Nint = 1040 from the bottom
+    up, 2, 3, 5, 9, 17, 33, 65, 130, 260, 520, 1040 digits: ceil(log2(Nint))
+    = 11 steps, only the last at full width.  The step to P digits makes
+    two multiplies mod p^ceil(P/e), and one full-width multiply checks the
+    result."""
     f = make_field(5, 5, 2, 1024)
     u = random_element(random.Random(6), f).digits
     moduli = []
@@ -533,7 +535,7 @@ def test_unit_inverse_takes_ceil_log2_newton_steps(monkeypatch):
 
     monkeypatch.setattr(FieldDescriptor, "_dig_mul_packed", counted)
     z = f._dig_inv(u)
-    steps = [f.p ** -(-min(2 ** k, f.Nint) // f.e) for k in range(1, 12)]
+    steps = [f.p ** -(-P // f.e) for P in (2, 3, 5, 9, 17, 33, 65, 130, 260, 520, 1040)]
     assert moduli == [m for m in steps for _ in range(2)] + [f.pM]
     assert original(f, f._pack(u), f._pack(z)) == f._one.digits
 

@@ -12,8 +12,10 @@ comparison) to be the model's, or to raise PrecisionExhaustedError where
 the model's answer does not lie below h.  Where every operand and product
 shift is at least -G, nothing raises and every result is known at N.
 
-The pi-shift and the reduction `_fold` under every product are checked
-exactly, in O_F/pi^Nint, the quotient the digits live in.
+The pi-shift and its schoolbook `_fold`, and the packed reduction
+`_reduce_packed` under every product and dot block, are checked exactly,
+in O_F/pi^Nint, the quotient the digits live in, and in each smaller
+quotient a Newton step of a unit inverse works in.
 """
 
 import math
@@ -23,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from demuskin.linalg import Mat, Poly
 from demuskin.localring import (
+    DOT_TERMS,
     LocalElement,
     NotInvertibleError,
     PrecisionExhaustedError,
@@ -37,6 +40,9 @@ ORACLE_SETTINGS = settings(max_examples=40, deadline=None)
 # q = 1 (e = 1) with f0 = 1 and f0 = 3 besides
 FOLD_FIELDS = ORACLE_FIELDS + [make_field(5, 1, 1, 16), make_field(3, 1, 3, 16)]
 FOLD_SETTINGS = settings(max_examples=15, deadline=None)
+# and two fields whose residues of pi^k mod p^m lie far below the exact
+# coefficients of pi^k mod eis
+REDUCE_FIELDS = FOLD_FIELDS + [make_field(3, 27, 1, 72), make_field(5, 25, 1, 80)]
 
 
 # one model per field, so its table of pi-powers is built once
@@ -211,10 +217,12 @@ class TestAgainstOracle:
     def test_nothing_is_lost_from_shift_minus_G(self, f, data):
         """Operands and products at shift -G or above (the zero is at
         shift 0): every sum, product and dot is known at N, and nothing
-        asked of it raises."""
+        asked of it raises.  A shift here is the one `element` draws: an
+        element it strips to a higher shift stays known only to the drawn
+        shift + Nint, its h, so a product is kept by h - Nint."""
         x, y = data.draw(element(f, -f.G)), data.draw(element(f, -f.G))
         pairs = [(a, b) for a, b in data.draw(st.lists(product_pair(f, -f.G), max_size=8))
-                 if a.shift + b.shift >= -f.G]
+                 if a.h + b.h - 2 * f.Nint >= -f.G]
         terms = [(a, b, data.draw(st.booleans())) for a, b in pairs]
         terms += [(a, b, not neg) for a, b, neg in terms if data.draw(st.booleans())]
         assert_known_at_N(x + y, x - y, -x, f.dot(terms), *(a * b for a, b in pairs))
@@ -286,21 +294,166 @@ class TestFold:
 
     @FOLD_SETTINGS
     @given(data=st.data())
+    def test_packed_fold_is_the_shift_up_fold(self, f, data):
+        """A digit vector moved up by b pi-rows, b < 2e - 1, as `dot` moves
+        a packed product: the packed reduction and the schoolbook fold of
+        `_shift_up` give the same digits."""
+        u = data.draw(digit_vector(f))
+        for b in range(2 * f.e - 1):
+            assert f._reduce_packed(f._pack(u) << b * f._lay.rowbits) == _shift_up(f, u, b)
+
+    @FOLD_SETTINGS
+    @given(data=st.data())
     def test_fold_of_more_rows_than_a_dot_block(self, f, data):
-        """Rows as `_reduce_packed` extracts them, 2 f0 - 1 signed
-        coefficients of a^j each, but more of them than the 3e - 2 of a
-        `dot` block."""
-        width = 2 * f.f0 - 1
+        """Rows of f0 signed coefficients of a^j, wider than digits, and
+        more of them than the 3e - 2 of a `dot` block."""
         coeff = st.integers(-f.pM ** 2, f.pM ** 2)
-        rows = data.draw(st.lists(st.lists(coeff, min_size=width, max_size=width),
+        rows = data.draw(st.lists(st.lists(coeff, min_size=f.f0, max_size=f.f0),
                                   min_size=3 * f.e - 1, max_size=4 * f.e + 4))
         model = Oracle(f, f.Nint)
-        apow = [model.one]
-        for _ in range(width - 1):  # a is the digit at index 1 when f0 > 1
-            apow.append(model.mul(apow[-1], tuple(int(i == 1) for i in range(f.e * f.f0))))
         want, pik = (0,) * (f.e * f.f0), model.one
         for row in rows:
-            for c, aj in zip(row, apow):
-                want = model.add(want, model.mul(pik, tuple(c * x for x in aj)))
+            row_digits = tuple(row) + (0,) * ((f.e - 1) * f.f0)
+            want = model.add(want, model.mul(pik, tuple(c % model.mod for c in row_digits)))
             pik = model.mul(pik, model.pi)
         assert f._fold([list(r) for r in rows], f.pM) == want
+
+
+# (field, m) -> model of O_F/pi^(e m) and its images of pi^k a^j
+REDUCE_MODELS = {}
+
+
+def layouts(f):
+    """(layout, model, images) for the full packing layout and each layout
+    of a Newton step, images[k][j] the model's pi^k a^j for every pi-row k
+    a product or dot block can have: k < 3e - 2, and k <= e at least."""
+    f._dig_inv(f._one.digits)  # builds every Newton layout
+    out = []
+    for m in sorted(f._layouts):
+        if (f, m) not in REDUCE_MODELS:
+            model = Oracle(f, f.e * m)
+            apow = [model.one]
+            for _ in range(2 * f.f0 - 2):  # a is the digit at index 1 when f0 > 1
+                apow.append(model.mul(apow[-1], tuple(int(i == 1) for i in range(f.e * f.f0))))
+            images = [[model.mul(model.pi_pow(k), aj) for aj in apow]
+                      for k in range(max(3 * f.e - 2, f.e + 1))]
+            REDUCE_MODELS[f, m] = model, images
+        out.append((f._layouts[m], *REDUCE_MODELS[f, m]))
+    return out
+
+
+def slot_bound(f, lay):
+    """The largest slot `_reduce_packed` takes: a convolution coefficient,
+    or in the full layout DOT_TERMS of them plus the offset of `dot`."""
+    top = f.e * f.f0 * (lay.mod - 1) ** 2
+    return 2 * DOT_TERMS * top + lay.mod if lay is f._lay else top
+
+
+def pack_rows(lay, rows):
+    """Packed integer of rows of 2 f0 - 1 slots each."""
+    w = 8 * lay.bb
+    return sum(c << k * lay.rowbits + j * w for k, row in enumerate(rows) for j, c in enumerate(row))
+
+
+def image(model, images, rows):
+    """The model's sum_k pi^k sum_j rows[k][j] a^j."""
+    want = (0,) * (model.e * model.f0)
+    for row, imgs in zip(rows, images):
+        for c, img in zip(row, imgs):
+            if c:
+                want = model.add(want, tuple(c * x for x in img))
+    return want
+
+
+def signed_slots(packed, width, count):
+    """The `count` signed coefficients of a sum of c_i 2^(i*width)."""
+    out = []
+    for _ in range(count):
+        c = packed & ((1 << width) - 1)
+        if c >> (width - 1):
+            c -= 1 << width
+        out.append(c)
+        packed = (packed - c) >> width
+    assert packed == 0
+    return out
+
+
+@pytest.mark.parametrize("f", REDUCE_FIELDS, ids=field_ids)
+class TestPackedReduction:
+    @FOLD_SETTINGS
+    @given(data=st.data())
+    def test_products_and_dot_blocks(self, f, data):
+        """One packed product in any layout, or in the full layout a dot
+        block as `_dot_digits` builds it: the offset of row offset b < e
+        plus up to DOT_TERMS signed products, each moved up by at most b
+        pi-rows, of all-(mod - 1), random or zero digit vectors."""
+        lays = layouts(f)
+        lay, model, _ = data.draw(st.sampled_from(lays))
+        rng = data.draw(st.randoms(use_true_random=False))
+        kinds = st.sampled_from(["top", "random", "zero"])
+
+        def factor(kind):
+            if kind == "top":
+                return (lay.mod - 1,) * (f.e * f.f0)
+            if kind == "zero":
+                return (0,) * (f.e * f.f0)
+            return tuple(rng.randrange(lay.mod) for _ in range(f.e * f.f0))
+
+        if lay is not f._lay:
+            x, y = factor(data.draw(kinds)), factor(data.draw(kinds))
+            assert f._reduce_packed(f._pack(x, lay) * f._pack(y, lay), lay) == model.mul(x, y)
+            return
+        b = data.draw(st.integers(0, f.e - 1))
+        n = data.draw(st.one_of(st.integers(1, 6), st.just(DOT_TERMS)))
+        xkind, ykind = data.draw(kinds), data.draw(kinds)
+        z, want = f._offsets[b], (0,) * (f.e * f.f0)
+        for _ in range(n):
+            x, y, s, neg = factor(xkind), factor(ykind), rng.randint(0, b), rng.random() < 0.5
+            t = f._pack(x) * f._pack(y) << s * lay.rowbits
+            prod = model.mul(model.pi_pow(s), model.mul(x, y))
+            z, want = (z - t, model.add(want, model.neg(prod))) if neg else (z + t, model.add(want, prod))
+        assert f._reduce_packed(z) == want
+
+    def test_extreme_slots(self, f):
+        """Every layout against the model, on the corners of the input box
+        (each slot 0 or the largest value it may hold, over every row a dot
+        block can have) where a digit slot, or a slot of a column a^j with
+        j >= f0 before its fold, takes its least or its largest value: the
+        offset must keep every slot nonnegative there, and the slot width
+        must hold it.  The residues the layout folds with must be the
+        symmetric residues mod its modulus."""
+        e, f0, S = f.e, f.f0, 2 * f.f0 - 1
+        for lay, model, images in layouts(f):
+            mod, top, rows = lay.mod, slot_bound(f, lay), len(images)
+
+            def sym(c):
+                return (c + mod // 2) % mod - mod // 2
+
+            # r[k][i], the coefficient of pi^i in pi^k, and a[j][m], of a^m in a^j
+            r = [[sym(images[k][0][i * f0]) for i in range(e)] for k in range(rows)]
+            a = [[sym(images[0][j][m]) for m in range(f0)] for j in range(S)]
+            assert [signed_slots(pk, lay.rowbits, e) for pk in lay.pis] == r[e:]
+            assert [signed_slots(aj, 8 * lay.bb, f0) for _, aj in lay.apows] == a[f0:]
+            for i in range(e):
+                for m in range(S):
+                    # weight of input slot (k, j) in slot (i, m): pi-fold, then a-fold
+                    weight = [[r[k][i] * (a[j][m] if m < f0 else j == m) for j in range(S)]
+                              for k in range(rows)]
+                    for sign in (1, -1):
+                        grid = [[top if sign * w > 0 else 0 for w in row] for row in weight]
+                        assert f._reduce_packed(pack_rows(lay, grid), lay) == image(model, images, grid)
+
+    def test_full_slots_of_one_batch(self, f):
+        """DOT_TERMS products of all-(pM - 1) digit vectors, all of one sign,
+        all at row offset 0 or all at b, with the offset of row offset b."""
+        lay, model, _ = layouts(f)[-1]
+        assert lay is f._lay
+        top = (f.pM - 1,) * (f.e * f.f0)
+        t = f._pack(top) * f._pack(top)
+        for b in range(f.e):
+            for s in {0, b}:
+                want = tuple(DOT_TERMS * c % model.mod
+                             for c in model.mul(model.pi_pow(s), model.mul(top, top)))
+                z = DOT_TERMS * t << s * lay.rowbits
+                assert f._reduce_packed(f._offsets[b] + z) == want
+                assert f._reduce_packed(f._offsets[b] - z) == model.neg(want)
