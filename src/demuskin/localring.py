@@ -48,6 +48,11 @@ from operator import itemgetter
 # reduced in batches.
 DOT_TERMS = 128
 
+# Slot width in bits of the full packing layout from which a field with
+# e >= 2 and f0 >= 2 multiplies by a-columns (`FieldDescriptor._columns`)
+# instead of the 2-D pack; see the FieldDescriptor docstring.
+COLUMN_SLOT_BITS = 256
+
 
 class LocalFieldError(Exception):
     """Base class for arithmetic errors in this package."""
@@ -214,12 +219,64 @@ def _residues(low, count, mod):
     return out
 
 
+def _kara_eval(cols):
+    """Karatsuba evaluation of the polynomial sum_j cols[j] a^j: for one
+    column the column itself, else the evaluations of the low half L, of
+    L + H and of the high half H, L taking the extra column.  The products
+    of two evaluations, value by value, are the evaluation of the product
+    that `_kara_interp` reads back."""
+    n = len(cols)
+    if n == 1:
+        return list(cols)
+    if n == 2:
+        return [cols[0], cols[0] + cols[1], cols[1]]
+    h = (n + 1) // 2
+    lo, hi = cols[:h], cols[h:]
+    mid = [c + hi[i] if i < n - h else c for i, c in enumerate(lo)]
+    return _kara_eval(lo) + _kara_eval(mid) + _kara_eval(hi)
+
+
+def _kara_count(n):
+    """Number of values in the Karatsuba evaluation of n columns."""
+    return 1 if n == 1 else 2 * _kara_count((n + 1) // 2) + _kara_count(n // 2)
+
+
+def _kara_interp(vals, n):
+    """The 2n - 1 columns of the product whose evaluation `vals` is, for
+    factors of n columns: lo + a^h (mid - lo - hi) + a^(2h) hi."""
+    if n == 1:
+        return list(vals)
+    if n == 2:
+        lo, mid, hi = vals
+        return [lo, mid - lo - hi, hi]
+    h = (n + 1) // 2
+    size = _kara_count(h)
+    lo = _kara_interp(vals[:size], h)
+    mid = _kara_interp(vals[size:2 * size], h)
+    hi = _kara_interp(vals[2 * size:], n - h)
+    out = lo + [0] * (2 * (n - h))
+    for k, c in enumerate(hi):
+        out[2 * h + k] += c
+    for k, c in enumerate(mid):
+        out[h + k] += c - lo[k] - (hi[k] if k < len(hi) else 0)
+    return out
+
+
 # A packing layout (`FieldDescriptor._layout`): the modulus, slot bytes,
 # bits per pi-row and in the e low rows, masks of one row and of the low
 # rows, the packed residues P_k, the mask of one slot column, (bit shift,
 # packed residue) per a-column, the offset, and the byte start of each
 # digit slot.
 _Layout = namedtuple("_Layout", "mod bb rowbits lowbits rowmask lowmask pis amask apows off starts")
+
+# The column layout (`FieldDescriptor._columns`): slot bits and bytes, the
+# masks of one slot and of the e low slots of a column, per low column j
+# its a-fold ((k, coefficient of a^j in a^k), ...) over the columns k >= f0,
+# per pi-row k >= e its fold ((bit shift of slot i, coefficient of pi^i in
+# pi^k), ...), per row offset b the a-fold offset of each low column, the
+# pi-fold offset of the low columns side by side, and the byte start of
+# each digit slot.
+_Columns = namedtuple("_Columns", "w bb slotmask lowmask afold pifold aoffs poff starts")
 
 
 class FieldDescriptor:
@@ -266,6 +323,31 @@ class FieldDescriptor:
     offset vanishes in the final mod.  A pi-shift of a digit vector by up to
     Nint rows (`_shift_up`) is folded by schoolbook division (`_fold`).
 
+    That 2-D pack (D. Harvey, J. Symbolic Comput. 44, 2009) gives each
+    pi-row of a factor 2 f0 - 1 slots of which f0 hold digits, so where
+    slots are wide the bigint multiply, inflated by those gaps, is most of
+    a product.  A field with e >= 2, f0 >= 2 and full-layout slots of at
+    least COLUMN_SLOT_BITS bits multiplies by columns instead: an element
+    caches its f0 a-columns, each packed dense in pi (`_pack_columns`), and
+    a product is Karatsuba over a (A. Karatsuba and Yu. Ofman, 1962): one
+    bigint multiply per value of the two evaluations (`_kara_eval`; x0,
+    x0 + x1 and x1 for f0 = 2, three products of about a third of the 2-D
+    length), one interpolation to the 2 f0 - 1 columns of the product
+    (`_kara_interp`), then `_reduce_columns`: each column a^k with k >= f0
+    folds into the low columns, each low column's pi-rows k >= e into its e
+    low slots, then one to_bytes and one mod per digit.  `dot` sums the
+    evaluations of a block's products and interpolates and reduces once.
+    Digits are canonical mod pM, so both kernels give the same digits.
+    Per product plus reduction (timeit in one process, 2-D -> columns) the
+    columns lose on narrow slots, where the multiply is a small share and
+    the column fold costs more Python operations: 11.3 -> 17.6 us at 88
+    bits on (7,7,2,36), 5.6 -> 10.2 at 80 on (5,5,2,32), 12.8 -> 17.9 at
+    248 on (3,3,3,128), 189 -> 228 at 168 on (5,25,2,400); from 256 bits
+    they win: 35.5 -> 24.6 at 256 on (3,9,2,402), 23.9 -> 15.6 at 344 on
+    (5,5,2,256), 95 -> 65 at 1232 on (5,5,2,1024).  For e = 1 the 2-D pack
+    is one dense row and has no gap to save (16.9 -> 16.6 us at 1544 bits
+    on (7,1,2,256)).  Newton steps and strips keep the 2-D kernel.
+
     make_field returns one shared descriptor per parameter set, so fields
     compare by identity first.
     """
@@ -273,7 +355,7 @@ class FieldDescriptor:
     __slots__ = ("p", "q", "f0", "e", "N", "G", "Nint", "M", "pM", "tau", "unram",
                  "eis", "_u0inv", "_mu_cache", "_one",
                  "_zero", "_inv2", "_winv", "_stride", "_lay", "_layouts",
-                 "_offsets", "_ppow", "__weakref__")
+                 "_offsets", "_col", "_kinv", "_ppow", "__weakref__")
 
     def __init__(self, p, q, f0, N, tau):
         """Takes the parameters as make_field normalizes them: N a multiple
@@ -310,6 +392,9 @@ class FieldDescriptor:
         self._stride = 2 * f0 - 1
         self._layouts = {}
         self._lay = self._layout(self.Nint // e)
+        wide = e > 1 and f0 > 1 and 8 * self._lay.bb >= COLUMN_SLOT_BITS
+        self._col = self._columns() if wide else None
+        self._kinv = {}
         # every product slot at the least multiple of pM above DOT_TERMS
         # products: a signed sum of up to DOT_TERMS products plus this stays
         # inside [0, 2^(8 bb)) slot by slot, and reduces to the same digits.
@@ -394,6 +479,108 @@ class FieldDescriptor:
                 sum(o << i * rowbits + j * w for i, row in enumerate(offs) for j, o in enumerate(row)),
                 tuple((i * S + j) * bb for i in range(e) for j in range(f0)))
         return lay
+
+    def _columns(self):
+        """Column layout of the full modulus pM, for `_reduce_columns`.
+
+        A slot of the 2 f0 - 1 product columns is a signed sum of the
+        coefficients of at most DOT_TERMS products: |slot| <= big =
+        DOT_TERMS e f0 (pM - 1)^2.  The a-fold adds to low column j < f0
+        a^k's coefficient of a^j times column k for each k >= f0, then an
+        offset, a multiple of pM in every slot of the 2e - 1 + b rows a
+        block moved up by at most b rows has, that makes each slot
+        nonnegative; the pi-fold adds each row k >= e times each coefficient
+        of pi^k mod eis (symmetric residues mod pM, as in `_layout`) to its
+        slot, then a second offset.  Both offsets and the slot width come
+        from the exact range of each slot, for every b.  A row folds by one
+        small multiply-add per coefficient, not by one product with a packed
+        residue as in `_reduce_packed`: over wide slots that product
+        multiplies the row by e - 1 slots of zeros, and one reduction on
+        (5,5,2,1024) took 40 us that way against 23 us."""
+        e, f0, mod = self.e, self.f0, self.pM
+        pis = _residues(self.eis, max(2 * e - 2, 1), mod)
+        apows = _residues(self.unram, f0 - 1, mod)
+
+        def lift(v):  # least multiple of mod that is at least v
+            return mod * -(-v // mod)
+
+        big = DOT_TERMS * e * f0 * (mod - 1) ** 2
+        afold, aoffs, poffs, high = [], [], [], big
+        for j in range(f0):
+            folds = tuple((k, a[j]) for k, a in enumerate(apows, f0) if a[j])
+            g = big * (1 + sum(abs(c) for _, c in folds))
+            o = lift(g)
+            lo, hi = o - g, o + g  # the range of a slot after the a-fold
+            afold.append(folds)
+            aoffs.append(o)
+            for i in range(e):
+                # slot i after the pi-fold of the e - 1 + b rows above the
+                # low ones, for each row offset b: in [least, most] + o2
+                least = most = 0
+                for b in range(e):
+                    rs = [r[i] for r in pis[:e - 1 + b]]
+                    pos, neg = sum(c for c in rs if c > 0), -sum(c for c in rs if c < 0)
+                    least = min(least, lo * (1 + pos) - hi * neg)
+                    most = max(most, hi * (1 + pos) - lo * neg)
+                o2 = lift(-least)
+                poffs.append((j * e + i, o2))
+                high = max(high, most + o2)
+        bb = -(-high.bit_length() // 8)
+        w = 8 * bb
+        return _Columns(
+            w, bb, (1 << w) - 1, (1 << e * w) - 1, tuple(afold),
+            tuple(tuple((i * w, c) for i, c in enumerate(r) if c) for r in pis),
+            tuple(tuple(sum(o << k * w for k in range(2 * e - 1 + b)) for o in aoffs)
+                  for b in range(e)),
+            sum(o << k * w for k, o in poffs),
+            tuple((j * e + i) * bb for i in range(e) for j in range(f0)))
+
+    def _pack_columns(self, x):
+        """The f0 a-columns of a digit vector, column j packed dense in pi:
+        slot i holds the digit of pi^i a^j."""
+        w, e, f0 = self._col.w, self.e, self.f0
+        cols = []
+        for j in range(f0):
+            c = 0
+            for i in range(e):
+                c |= x[i * f0 + j] << i * w
+            cols.append(c)
+        return tuple(cols)
+
+    def _reduce_columns(self, cols, b=0):
+        """Digits mod pM of the 2 f0 - 1 a-columns of a product, or of a
+        signed sum of at most DOT_TERMS products each moved up by at most b
+        < e pi-rows: for each low column j, the a-columns k >= f0 folded in
+        by a^k's coefficient of a^j plus the a-fold offset, then each pi-row
+        k >= e by a small multiply-add per coefficient of its residue; the low
+        columns side by side plus the pi-fold offset, one to_bytes and one
+        mod per digit slot."""
+        w, bb, slotmask, lowmask, afold, pifold, aoffs, out, starts = self._col
+        lowbits = self.e * w
+        for j, (folds, off) in enumerate(zip(afold, aoffs[b])):
+            d = cols[j] + off
+            for k, c in folds:
+                d += c * cols[k]
+            acc = d & lowmask
+            d >>= lowbits
+            for row in pifold:
+                if not d:
+                    break
+                t = d & slotmask
+                for sh, c in row:
+                    acc += t * c << sh
+                d >>= w
+            out += acc << j * lowbits
+        buf = out.to_bytes(self.f0 * lowbits // 8, "little")
+        fb, mod = int.from_bytes, self.pM
+        return tuple([fb(buf[i:i + bb], "little") % mod for i in starts])
+
+    def _mul_columns(self, xs, ys):
+        """Digit product of two `_pack_columns` forms: one bigint multiply
+        per value of their Karatsuba evaluations, one interpolation, one
+        reduction."""
+        vals = [a * b for a, b in zip(_kara_eval(xs), _kara_eval(ys))]
+        return self._reduce_columns(_kara_interp(vals, self.f0))
 
     def _pack(self, x, lay=None):
         bb = (lay or self._lay)[1]
@@ -563,28 +750,45 @@ class FieldDescriptor:
         added to the offset that covers its rows, each batch reduced once
         with s - s_b more fold rows.  The packed product is moved, not a
         factor, so the bigint multiply keeps its size; a factor pi^k adds
-        its partner's packed digits with no bigint product."""
+        its partner's packed digits with no bigint product.  On a column
+        field the products' Karatsuba evaluations are moved and summed
+        instead, and the reduction's a-fold offset covers the signed sum."""
         one = self._one.digits
         sb = terms[0][0]
-        rowbits = self._lay.rowbits
+        col = self._col
+        rowbits = self._lay.rowbits if col is None else col.w
         out = None
         for k in range(0, len(terms), DOT_TERMS):
             batch = terms[k:k + DOT_TERMS]
-            z = self._offsets[batch[-1][0] - sb]
-            for s, x, y, neg in batch:
-                if y.digits == one:
-                    t = x._packed()
-                elif x.digits == one:
-                    t = y._packed()
-                else:
-                    t = x._packed() * y._packed()
-                if s != sb:
-                    t <<= rowbits * (s - sb)
-                if neg:
-                    z -= t
-                else:
-                    z += t
-            d = self._reduce_packed(z)
+            if col is None:
+                z = self._offsets[batch[-1][0] - sb]
+                for s, x, y, neg in batch:
+                    if y.digits == one:
+                        t = x._packed()
+                    elif x.digits == one:
+                        t = y._packed()
+                    else:
+                        t = x._packed() * y._packed()
+                    if s != sb:
+                        t <<= rowbits * (s - sb)
+                    if neg:
+                        z -= t
+                    else:
+                        z += t
+                d = self._reduce_packed(z)
+            else:
+                # the evaluations of the products, summed value by value,
+                # are the evaluation of the sum: one interpolation per batch
+                vals = [0] * _kara_count(self.f0)
+                for s, x, y, neg in batch:
+                    sh = rowbits * (s - sb)
+                    evs = zip(_kara_eval(x._packed()), _kara_eval(y._packed()))
+                    for i, (a, c) in enumerate(evs):
+                        if neg:
+                            vals[i] -= a * c << sh
+                        else:
+                            vals[i] += a * c << sh
+                d = self._reduce_columns(_kara_interp(vals, self.f0), batch[-1][0] - sb)
             out = d if out is None else self._dig_add(out, d)
         return out
 
@@ -678,7 +882,11 @@ class FieldDescriptor:
         return tuple(_polmul_mod(x, y, self.unram, self.p))
 
     def _k_inv(self, x):
-        return tuple(_polpow_mod(x, self.p ** self.f0 - 2, self.unram, self.p))
+        """Inverse of a nonzero residue x, memoized per field."""
+        z = self._kinv.get(x)
+        if z is None:
+            z = self._kinv[x] = tuple(_polpow_mod(x, self.p ** self.f0 - 2, self.unram, self.p))
+        return z
 
     def _dig_inv(self, u):
         """Inverse of a unit digit vector, exact in O_F/pi^Nint.
@@ -691,10 +899,15 @@ class FieldDescriptor:
         m = ceil(P/e), i.e. in O_F/pi^(e*m), so it multiplies numbers only
         as wide as the precision it reaches.  The last step works mod pM,
         and a unit has one inverse there, so the digits are the canonical
-        ones; a final full-width u*z == 1 check guards non-units.
+        ones.  A digit vector is a unit exactly when its residue is
+        nonzero, and Newton from the exact residue inverse is exact, so
+        that residue test is the only check: no full-width u*z == 1.
         """
         e, f0, p = self.e, self.f0, self.p
-        z = self._k_inv(tuple(u[j] % p for j in range(f0))) + (0,) * ((e - 1) * f0)
+        r = tuple(u[j] % p for j in range(f0))
+        if not any(r):
+            raise NotInvertibleError("inversion failed at working precision")
+        z = self._k_inv(r) + (0,) * ((e - 1) * f0)
         steps = [self.Nint]
         while steps[-1] > 2:
             steps.append(-(-steps[-1] // 2))
@@ -705,8 +918,6 @@ class FieldDescriptor:
             t = self._dig_mul_packed(self._pack(tuple(c % mod for c in u), lay), zp, lay)
             t = ((2 - t[0]) % mod,) + tuple(-c % mod for c in t[1:])
             z = self._dig_mul_packed(zp, self._pack(t, lay), lay)
-        if self._dig_mul(u, z) != self._one.digits:
-            raise NotInvertibleError("inversion failed at working precision")
         return z
 
     # -- element constructors ---------------------------------------------
@@ -804,8 +1015,11 @@ class LocalElement:
         self._val = val
 
     def _packed(self):
+        """The packed form products read, built once: the 2-D pack, or the
+        column form where the field multiplies by columns."""
         if self._pk is None:
-            self._pk = self.field._pack(self.digits)
+            f = self.field
+            self._pk = f._pack(self.digits) if f._col is None else f._pack_columns(self.digits)
         return self._pk
 
     def _at(self, h):
@@ -907,8 +1121,9 @@ class LocalElement:
             return LocalElement(f, shift, self.digits, shift, h)
         if self.digits == one:
             return LocalElement(f, shift, other.digits, shift, h)
-        return LocalElement(f, shift, f._dig_mul_packed(self._packed(), other._packed()),
-                            shift, h)
+        xp, yp = self._packed(), other._packed()
+        d = f._dig_mul_packed(xp, yp) if f._col is None else f._mul_columns(xp, yp)
+        return LocalElement(f, shift, d, shift, h)
 
     __rmul__ = __mul__
 

@@ -27,6 +27,7 @@ class Oracle:
         self.one = (1,) + (0,) * (e * f0 - 1)
         self.pi = tuple(pi)
         self._pi_pows = [self.one]
+        self._residue_inverses = {}
 
     def add(self, x, y):
         return tuple((a + b) % self.mod for a, b in zip(x, y))
@@ -51,6 +52,26 @@ class Oracle:
                 for k, u in enumerate(self.eis):
                     grid[i - e + k][j] -= grid[i][j] * u
         return tuple(grid[i][j] % self.mod for i in range(e) for j in range(f0))
+
+    def inv(self, u):
+        """Inverse of a unit u: the inverse of its residue (the pi^0
+        coefficients mod p), found by trial over the p^f0 - 1 nonzero
+        residues, then Newton z <- z(2 - u z), each step exact to twice the
+        depth, until u z = 1."""
+        p, f0 = self.p, self.f0
+        res = tuple(c % p for c in u[:f0])
+        z = self._residue_inverses.get(res)
+        if z is None:
+            pad = (0,) * ((self.e - 1) * f0)
+            for code in range(1, p ** f0):
+                z = tuple(code // p ** j % p for j in range(f0)) + pad
+                if tuple(c % p for c in self.mul(u, z)[:f0]) == self.one[:f0]:
+                    break
+            self._residue_inverses[res] = z
+        two = self.add(self.one, self.one)
+        while (t := self.mul(u, z)) != self.one:
+            z = self.mul(z, self.add(two, self.neg(t)))
+        return z
 
     def pi_pow(self, k):
         """pi^k, from a table of the powers built so far."""

@@ -11,7 +11,9 @@ report JSON of the valid certificate and of each tampered copy, and the
 report JSON of each forged certificate ("Type: message" when verification
 raises).  For each workload it prints one line of exact call counts over
 its records, `<workload> calls _dig_strip=<n> _reduce_packed=<n>
-_fold=<n> element=<n>` (the `FieldDescriptor` methods of that name;
+_reduce_columns=<n> _fold=<n> element=<n>` (the `FieldDescriptor` methods
+of that name; `_reduce_columns` counts the products and dot blocks the
+column kernel forms, nonzero only on fields that multiply by a-columns;
 `_fold` counts the pi-shifts of `_shift_up`, the only schoolbook fold left,
 since products and dot blocks fold on the packed integer), then the
 precision ledger `<workload> horizon <n>`: the least h - N over the
@@ -43,7 +45,7 @@ from demuskin import deformation, localring, paths  # noqa: E402
 
 SEEDS = (1, 2, 3)
 ROUNDS = (0, 1, 2)
-COUNTED = ("_dig_strip", "_reduce_packed", "_fold", "element")
+COUNTED = ("_dig_strip", "_reduce_packed", "_reduce_columns", "_fold", "element")
 
 
 def count_calls():

@@ -503,6 +503,18 @@ class TestUnitInverse:
         if k < f.N:
             assert (pik.inv().shift, pik.inv().digits) == (-k, f._dig_inv(pik.digits))
 
+    @pytest.mark.parametrize("f", INV_FIELDS, ids=field_ids)
+    @STRIP_SETTINGS
+    @given(data=st.data())
+    def test_non_unit_digit_vectors_are_refused(self, f, data):
+        """A digit vector of positive valuation, or zero, has no inverse:
+        `_dig_inv` raises NotInvertibleError, with the message the final
+        u*z == 1 check used to give."""
+        u, v = data.draw(unit_and_depth(f, lowest=1))
+        for x in (_shift_up(f, u, v), (0,) * (f.e * f.f0)):
+            with pytest.raises(NotInvertibleError, match="inversion failed at working precision"):
+                f._dig_inv(x)
+
     @pytest.mark.parametrize("f", STRIP_FIELDS, ids=field_ids)
     @STRIP_SETTINGS
     @given(data=st.data())
@@ -522,8 +534,8 @@ def test_unit_inverse_takes_ceil_log2_newton_steps(monkeypatch):
     that, so the steps reach the halvings of Nint = 1040 from the bottom
     up, 2, 3, 5, 9, 17, 33, 65, 130, 260, 520, 1040 digits: ceil(log2(Nint))
     = 11 steps, only the last at full width.  The step to P digits makes
-    two multiplies mod p^ceil(P/e), and one full-width multiply checks the
-    result."""
+    two multiplies mod p^ceil(P/e), and nothing else multiplies: a unit is
+    told by its residue, so no full-width product checks the result."""
     f = make_field(5, 5, 2, 1024)
     u = random_element(random.Random(6), f).digits
     moduli = []
@@ -536,7 +548,7 @@ def test_unit_inverse_takes_ceil_log2_newton_steps(monkeypatch):
     monkeypatch.setattr(FieldDescriptor, "_dig_mul_packed", counted)
     z = f._dig_inv(u)
     steps = [f.p ** -(-P // f.e) for P in (2, 3, 5, 9, 17, 33, 65, 130, 260, 520, 1040)]
-    assert moduli == [m for m in steps for _ in range(2)] + [f.pM]
+    assert moduli == [m for m in steps for _ in range(2)]
     assert original(f, f._pack(u), f._pack(z)) == f._one.digits
 
 

@@ -12,10 +12,12 @@ comparison) to be the model's, or to raise PrecisionExhaustedError where
 the model's answer does not lie below h.  Where every operand and product
 shift is at least -G, nothing raises and every result is known at N.
 
-The pi-shift and its schoolbook `_fold`, and the packed reduction
-`_reduce_packed` under every product and dot block, are checked exactly,
-in O_F/pi^Nint, the quotient the digits live in, and in each smaller
-quotient a Newton step of a unit inverse works in.
+The pi-shift and its schoolbook `_fold`, the packed reduction
+`_reduce_packed` under every 2-D product and dot block, and the column
+kernel (`_pack_columns`, `_kara_interp`, `_reduce_columns`) of the fields
+with wide slots are checked exactly, in O_F/pi^Nint, the quotient the
+digits live in, and in each smaller quotient a Newton step of a unit
+inverse works in.
 """
 
 import math
@@ -25,10 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 from demuskin.linalg import Mat, Poly
 from demuskin.localring import (
+    COLUMN_SLOT_BITS,
     DOT_TERMS,
     LocalElement,
     NotInvertibleError,
     PrecisionExhaustedError,
+    _kara_eval,
+    _kara_interp,
     _shift_up,
     make_field,
 )
@@ -47,6 +52,7 @@ REDUCE_FIELDS = FOLD_FIELDS + [make_field(3, 27, 1, 72), make_field(5, 25, 1, 80
 
 # one model per field, so its table of pi-powers is built once
 DIFF_MODELS = {}
+INV_MODELS = {}
 LIFT_MODELS = {}
 
 
@@ -175,6 +181,30 @@ class TestAgainstOracle:
         c = f.N
         model = Oracle(f, 3 * f.N)
         assert_agrees(model, x * y, model.mul(model.lift(x, c), model.lift(y, c)), 2 * c)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_inv(self, f, data):
+        """x.inv() against the model's inverse of x's digits: x = pi^s u,
+        s in [-N, 2N], has the inverse pi^-s u^-1, and x * x.inv() is one,
+        each as `assert_agrees` checks it.  An element that is zero at N is
+        not invertible, and inv may raise PrecisionExhaustedError only
+        where x's valuation does not lie below its horizon."""
+        x = data.draw(element(f))
+        model = INV_MODELS.setdefault(f, Oracle(f, 3 * f.N))
+        v = model.valuation(model.lift(x, f.N)) - f.N
+        try:
+            z = decided(f, v if v < f.N else math.inf, x.h, x.inv)
+        except NotInvertibleError:
+            assert v >= f.N
+            return
+        assert v < f.N
+        if z is None:
+            return
+        c = 2 * f.N
+        u = tuple(d % model.mod for d in x.digits)
+        assert_agrees(model, z, model.mul(model.pi_pow(c - x.shift), model.inv(u)), c)
+        assert_agrees(model, x * z, model.one, 0)
 
     @ORACLE_SETTINGS
     @given(data=st.data())
@@ -323,23 +353,26 @@ class TestFold:
 REDUCE_MODELS = {}
 
 
+def model_images(f, m):
+    """(model, images): the model of O_F/pi^(e m), and images[k][j] its
+    pi^k a^j for every pi-row k a product or dot block can have (k < 3e -
+    2, and k <= e at least) and every a-column j < 2 f0 - 1."""
+    if (f, m) not in REDUCE_MODELS:
+        model = Oracle(f, f.e * m)
+        apow = [model.one]
+        for _ in range(2 * f.f0 - 2):  # a is the digit at index 1 when f0 > 1
+            apow.append(model.mul(apow[-1], tuple(int(i == 1) for i in range(f.e * f.f0))))
+        images = [[model.mul(model.pi_pow(k), aj) for aj in apow]
+                  for k in range(max(3 * f.e - 2, f.e + 1))]
+        REDUCE_MODELS[f, m] = model, images
+    return REDUCE_MODELS[f, m]
+
+
 def layouts(f):
     """(layout, model, images) for the full packing layout and each layout
-    of a Newton step, images[k][j] the model's pi^k a^j for every pi-row k
-    a product or dot block can have: k < 3e - 2, and k <= e at least."""
+    of a Newton step, as `model_images` gives them."""
     f._dig_inv(f._one.digits)  # builds every Newton layout
-    out = []
-    for m in sorted(f._layouts):
-        if (f, m) not in REDUCE_MODELS:
-            model = Oracle(f, f.e * m)
-            apow = [model.one]
-            for _ in range(2 * f.f0 - 2):  # a is the digit at index 1 when f0 > 1
-                apow.append(model.mul(apow[-1], tuple(int(i == 1) for i in range(f.e * f.f0))))
-            images = [[model.mul(model.pi_pow(k), aj) for aj in apow]
-                      for k in range(max(3 * f.e - 2, f.e + 1))]
-            REDUCE_MODELS[f, m] = model, images
-        out.append((f._layouts[m], *REDUCE_MODELS[f, m]))
-    return out
+    return [(f._layouts[m], *model_images(f, m)) for m in sorted(f._layouts)]
 
 
 def slot_bound(f, lay):
@@ -457,3 +490,104 @@ class TestPackedReduction:
                 z = DOT_TERMS * t << s * lay.rowbits
                 assert f._reduce_packed(f._offsets[b] + z) == want
                 assert f._reduce_packed(f._offsets[b] - z) == model.neg(want)
+
+
+# fields whose full layout has slots of COLUMN_SLOT_BITS or more, so they
+# multiply by a-columns: e = 4, f0 = 2; e = 2, f0 = 3 (Karatsuba splits the
+# three columns unevenly); e = 6, f0 = 2
+COLUMN_FIELDS = [make_field(5, 5, 2, 256), make_field(3, 3, 3, 256), make_field(7, 7, 2, 402)]
+
+
+def test_slot_width_picks_the_kernel():
+    """The 88- and 80-bit slots of (7,7,2,36) and (5,5,2,32) keep the 2-D
+    kernel; the 1232-bit slots of (5,5,2,1024) take columns, and so do the
+    256-bit slots of (3,9,2,402) and the COLUMN_FIELDS; e = 1 or f0 = 1
+    keeps the 2-D kernel however wide the slots, as its pack has no gap."""
+    for f in (make_field(7, 7, 2, 36), make_field(5, 5, 2, 32)):
+        assert 8 * f._lay.bb < COLUMN_SLOT_BITS and f._col is None
+    for f in (make_field(5, 5, 2, 1024), make_field(3, 9, 2, 402), *COLUMN_FIELDS):
+        assert 8 * f._lay.bb >= COLUMN_SLOT_BITS and f._col is not None
+    for f in (make_field(7, 1, 2, 256), make_field(5, 5, 1, 1024)):
+        assert 8 * f._lay.bb >= COLUMN_SLOT_BITS and f._col is None
+
+
+@pytest.mark.parametrize("f", COLUMN_FIELDS, ids=field_ids)
+class TestColumnKernel:
+    @FOLD_SETTINGS
+    @given(data=st.data())
+    def test_products_and_dot_blocks(self, f, data):
+        """One product, or a dot block as `_dot_digits` builds it: up to
+        DOT_TERMS signed products, each moved up by at most b < e pi-rows,
+        of all-(pM - 1), random or zero digit vectors, summed over their
+        Karatsuba evaluations and reduced once.  The column kernel gives
+        the model's digits, and the 2-D kernel's on the same block."""
+        model, _ = model_images(f, f.Nint // f.e)
+        rng = data.draw(st.randoms(use_true_random=False))
+        kinds = st.sampled_from(["top", "random", "zero"])
+
+        def factor(kind):
+            if kind == "top":
+                return (f.pM - 1,) * (f.e * f.f0)
+            if kind == "zero":
+                return (0,) * (f.e * f.f0)
+            return tuple(rng.randrange(f.pM) for _ in range(f.e * f.f0))
+
+        if data.draw(st.booleans()):
+            x, y = factor(data.draw(kinds)), factor(data.draw(kinds))
+            got = f._mul_columns(f._pack_columns(x), f._pack_columns(y))
+            assert got == model.mul(x, y) == f._dig_mul_packed(f._pack(x), f._pack(y))
+            return
+        b = data.draw(st.integers(0, f.e - 1))
+        n = data.draw(st.one_of(st.integers(1, 6), st.just(DOT_TERMS)))
+        xkind, ykind = data.draw(kinds), data.draw(kinds)
+        vals, z, want = None, f._offsets[b], (0,) * (f.e * f.f0)
+        for _ in range(n):
+            x, y, s, neg = factor(xkind), factor(ykind), rng.randint(0, b), rng.random() < 0.5
+            # x*y moved up by s pi-rows, as `_dot_digits` forms it
+            ev = [a * c << s * f._col.w
+                  for a, c in zip(_kara_eval(f._pack_columns(x)), _kara_eval(f._pack_columns(y)))]
+            t = f._pack(x) * f._pack(y) << s * f._lay.rowbits
+            prod = model.mul(model.pi_pow(s), model.mul(x, y))
+            if neg:
+                ev, t, prod = [-c for c in ev], -t, model.neg(prod)
+            vals = ev if vals is None else [v + c for v, c in zip(vals, ev)]
+            z, want = z + t, model.add(want, prod)
+        assert f._reduce_columns(_kara_interp(vals, f.f0), b) == want == f._reduce_packed(z)
+
+    def test_extreme_slots(self, f):
+        """The column reduction against the model on the corners of its
+        input box: 2 f0 - 1 columns of 2e - 1 + b rows for every row offset
+        b < e, each slot 0 or +-big, big = DOT_TERMS e f0 (pM - 1)^2 (the
+        largest |slot| of a signed batch), signed so that a digit slot, or
+        a slot of a low column after its a-fold, takes its least or its
+        largest value: the offsets must keep every slot the pi-fold splits
+        nonnegative, and the slot width must hold them.  The coefficients
+        the layout folds with must be the symmetric residues mod pM."""
+        e, f0, S, col = f.e, f.f0, 2 * f.f0 - 1, f._col
+        model, images = model_images(f, f.Nint // f.e)
+        mod, big = model.mod, DOT_TERMS * f.e * f.f0 * (f.pM - 1) ** 2
+
+        def sym(c):
+            return (c + mod // 2) % mod - mod // 2
+
+        # r[k][i], the coefficient of pi^i in pi^k, and a[k][j], of a^j in a^k
+        r = [[sym(images[k][0][i * f0]) for i in range(e)] for k in range(len(images))]
+        a = [[sym(images[0][k][j]) for j in range(f0)] for k in range(S)]
+        assert [[dict((sh // col.w, c) for sh, c in row).get(i, 0) for i in range(e)]
+                for row in col.pifold] == r[e:len(col.pifold) + e]
+        assert [dict(fold) for fold in col.afold] == [
+            {k: a[k][j] for k in range(f0, S) if a[k][j]} for j in range(f0)]
+        # weight of column k in low column j after the a-fold
+        afold = [[1 if k == j else a[k][j] if k >= f0 else 0 for k in range(S)] for j in range(f0)]
+        for b in range(e):
+            rows = 2 * e - 1 + b
+            targets = [[r[k][i] if k >= e else int(k == i) for k in range(rows)]
+                       for i in range(e)]  # weight of row k in digit row i
+            targets += [[int(k == m) for k in range(rows)] for m in range(rows)]  # row m itself
+            for j in range(f0):
+                for rowweight in targets:
+                    for sign in (1, -1):
+                        grid = [[big * (sign * w > 0) - big * (sign * w < 0)
+                                 for w in (rw * aw for aw in afold[j])] for rw in rowweight]
+                        cols = [sum(grid[k][m] << k * col.w for k in range(rows)) for m in range(S)]
+                        assert f._reduce_columns(cols, b) == image(model, images, grid)
