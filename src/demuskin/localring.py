@@ -355,7 +355,8 @@ class FieldDescriptor:
     __slots__ = ("p", "q", "f0", "e", "N", "G", "Nint", "M", "pM", "tau", "unram",
                  "eis", "_u0inv", "_mu_cache", "_one",
                  "_zero", "_inv2", "_winv", "_stride", "_lay", "_layouts",
-                 "_offsets", "_col", "_kinv", "_ppow", "__weakref__")
+                 "_offsets", "_col", "_kinv", "_ppow", "_pubN", "_pub",
+                 "__weakref__")
 
     def __init__(self, p, q, f0, N, tau):
         """Takes the parameters as make_field normalizes them: N a multiple
@@ -372,6 +373,8 @@ class FieldDescriptor:
         # p^k for every k up to Nint/e, the moduli of `_mask_digits`
         self._ppow = tuple(p ** k for k in range(self.Nint // e + 1))
         self.tau = tau
+        self._pubN = min(N, max(e * -(-tau // e), 4 * e))
+        self._pub = None
         self.unram = find_irreducible_poly(p, f0)
         if q >= 3:
             self.eis = tuple(_cyclotomic_shifted(p, q)[: self.e])
@@ -418,7 +421,21 @@ class FieldDescriptor:
 
     def __repr__(self):
         return (f"FieldDescriptor(p={self.p}, q={self.q}, f0={self.f0}, "
-                f"e={self.e}, N={self.N})")
+                f"e={self.e}, N={self.N}, tau={self.tau})")
+
+    def published(self):
+        """The shared field a certificate built here is written in and
+        read back into: precision N' = min(N, max(e*ceil(tau/e), 4e)), the
+        least multiple of e that holds tau and that make_field accepts,
+        and the same tau (the `paths` docstring says why N' digits are
+        enough).  Itself when N' = N; otherwise built on first use and kept
+        alive by this field, so that parsing finds it in make_field's table
+        instead of building a field per certificate."""
+        if self._pubN == self.N:
+            return self
+        if self._pub is None:
+            self._pub = make_field(self.p, self.q, self.f0, self._pubN, self.tau)
+        return self._pub
 
     # -- digit-level arithmetic (flat tuples, index i*f0+j <-> pi^i a^j) --
 
@@ -1211,13 +1228,20 @@ class LocalElement:
         nothing of the guard band leaves the process.  Raises
         PrecisionExhaustedError when the element is known below N only, so
         no digit past its horizon is published."""
-        f = self.field
-        if self.h < f.N:
+        return self._json_at(self.field.N)
+
+    def _json_at(self, n):
+        """`to_json` at absolute precision n <= N: `0` when the element is
+        zero at n, otherwise its shift and its digits masked at relative
+        depth n - shift, which is how the field of precision n writes this
+        element reduced mod pi^n.  The certificate codec writes at the
+        field's publication precision (`FieldDescriptor.published`)."""
+        if self.h < n:
             raise PrecisionExhaustedError(
-                f"element known mod pi^{self.h} only, below the published precision {f.N}")
-        if self._vanishes():
+                f"element known mod pi^{self.h} only, below the published precision {n}")
+        if self._raw_valuation() >= n:
             return 0
-        masked = _mask_digits(f, self.digits, f.N - self.shift)
+        masked = _mask_digits(self.field, self.digits, n - self.shift)
         return [self.shift, *map(str, masked)]
 
     @staticmethod

@@ -35,17 +35,34 @@ Every point shares the one params.  The label is the index of det(M_1) in
 of elements, a polynomial the list of its coefficients and a slot a list
 of rows of polynomials.  A segment is {"kind": "conjugation", "g":
 matrix}, {"kind": "polynomial", "slots": [slot, ...]} or {"kind": "cited",
-"statement_id", "source", "start": point, "end": point}.  An element is
-`0` when it is zero at N and otherwise `[shift, "d_0", ...]`, its e*f0
-digits masked at relative depth N - shift.  The parser decodes by nesting
-depth (a row may begin with `0`) and fails only with
-`CertificateFormatError`.  It accepts only what `to_json` writes: N a
-multiple of e, a label in [0, q), and elements as `LocalElement.from_json`
-reads them (canonical digit strings, masked, a unit digit vector, known at
-N), so a parsed certificate writes its input bytes back.  Digits are
-published at N, not at tau: they are the value that `==` compares, so a
-parsed certificate equals the built one, and cutting them to tau waits for
-a verifier that computes in O_F/pi^tau.
+"statement_id", "source", "start": point, "end": point}.
+
+A certificate is published at N' = min(N_b, max(e*ceil(tau/e), 4e)),
+where N_b is the precision of the field it was built in: params "N" is
+N', and an element is `0` when it is zero at N' and otherwise
+`[shift, "d_0", ...]`, its e*f0 digits masked at relative depth
+N' - shift.  N' digits are enough because every clause is decided at tau
+or below: integrality and unit determinants are residue checks, the
+relation, chain and det(M_1) checks compare at tau integral data built
+from the stored entries by ring operations and the inverse of a matrix of
+unit determinant, and the label match reads det(M_1) at a threshold of at
+most tau; such a value mod pi^tau depends only on the entries mod pi^tau.
+The digits from N' to N_b are never read, so they are not written, and
+(X. Caruso, *Computations with p-adic numbers*, arXiv:1701.06794) the
+verifier computes at the precision its decisions read.  The 4e floor is
+make_field's least precision.  `from_json` reads a certificate into the
+shared field `make_field(p, q, f0, N', tau)`, which the building field
+keeps alive (`FieldDescriptor.published`), so parsing builds no field and
+the verifier computes in O_F/pi^(N' + G) with no conversion.
+
+The parser decodes by nesting depth (a row may begin with `0`) and fails
+only with `CertificateFormatError`.  It accepts only what `to_json`
+writes: ceil(3N/4) <= tau <= N, so that a text cannot choose the
+threshold its clauses are decided at; N a multiple of e and the
+publication precision of its tau; a label in [0, q); and elements as
+`LocalElement.from_json` reads them (canonical digit strings, masked at
+N - shift, a unit digit vector, known at N).  So a parsed certificate
+writes its input bytes back.
 """
 
 from __future__ import annotations
@@ -158,12 +175,13 @@ class PathCertificate:
     def to_json(self):
         params = self.start.params
         f = params.field
-        return {"params": {"p": f.p, "q": f.q, "f0": f.f0, "N": f.N, "tau": f.tau,
+        N = f.published().N
+        return {"params": {"p": f.p, "q": f.q, "f0": f.f0, "N": N, "tau": f.tau,
                            "d": params.d, "n": params.n},
                 "label": self.label.index,
-                "start": _point_json(self.start),
-                "end": _point_json(self.end),
-                "segments": [_segment_json(s) for s in self.segments]}
+                "start": _point_json(self.start, N),
+                "end": _point_json(self.end, N),
+                "segments": [_segment_json(s, N) for s in self.segments]}
 
     @staticmethod
     def from_json(blob):
@@ -173,23 +191,23 @@ class PathCertificate:
             raise CertificateFormatError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _mat_json(rows):
-    return [[x.to_json() for x in r] for r in rows]
+def _mat_json(rows, N):
+    return [[x._json_at(N) for x in r] for r in rows]
 
 
-def _point_json(pt):
-    return [_mat_json(m.rows) for m in pt.matrices]
+def _point_json(pt, N):
+    return [_mat_json(m.rows, N) for m in pt.matrices]
 
 
-def _segment_json(seg):
+def _segment_json(seg, N):
     if isinstance(seg, ConjugationMove):
-        return {"kind": seg.kind, "g": _mat_json(seg.g.rows)}
+        return {"kind": seg.kind, "g": _mat_json(seg.g.rows, N)}
     if isinstance(seg, PolynomialPath):
         return {"kind": seg.kind,
-                "slots": [[[[c.to_json() for c in p.coeffs] for p in row] for row in slot]
+                "slots": [[[[c._json_at(N) for c in p.coeffs] for p in row] for row in slot]
                           for slot in seg.slots]}
     return {"kind": seg.kind, "statement_id": seg.statement_id, "source": seg.source,
-            "start": _point_json(seg.start), "end": _point_json(seg.end)}
+            "start": _point_json(seg.start, N), "end": _point_json(seg.end, N)}
 
 
 def _read_certificate(blob):
@@ -199,10 +217,15 @@ def _read_certificate(blob):
     if any(type(x) is not int for x in ints):
         raise TypeError("parameters and label must be integers")
     p, q, f0, N, tau, d, n, label = ints
+    if not -(-3 * N // 4) <= tau <= N:
+        raise ValueError(f"tau = {tau} outside [ceil(3N/4), N] = [{-(-3 * N // 4)}, {N}]")
     params = DeformationParams(make_field(p, q, f0, N, tau), d, n)
     f = params.field
     if f.N != N:
         raise ValueError(f"N = {N} is not a multiple of e = {f.e}")
+    if f.published() is not f:
+        raise ValueError(f"N = {N} above the publication precision {f.published().N} "
+                         f"of tau = {tau}")
     if not 0 <= label < max(q, 1):
         raise ValueError(f"label {label} outside [0, {max(q, 1)})")
 
@@ -529,6 +552,11 @@ def verify_certificate(cert: PathCertificate) -> VerificationReport:
     (d) det(M_1) is t-independent along polynomial paths and constant across
         the chain, matching the stored component label;
     (e) cited segments record only the admissible merge statement.
+
+    Every clause is decided at the certificate's tau (the label match at a
+    threshold of at most tau), which `PathCertificate.from_json` bounds to
+    [ceil(3N/4), N], so a parsed certificate is verified in its
+    publication field at the threshold it was built for.
     """
     rep = VerificationReport()
     params = cert.start.params

@@ -17,10 +17,11 @@ column kernel forms, nonzero only on fields that multiply by a-columns;
 `_fold` counts the pi-shifts of `_shift_up`, the only schoolbook fold left,
 since products and dot blocks fold on the packed integer), then the
 precision ledger `<workload> horizon <n>`: the least h - N over the
-elements `to_json` published and the decisions (`is_zero`, `valuation`,
-`diff_valuation`) that returned, h being the knowledge horizon the element
-or the compared pair carries; a negative n would be a decision or a
-published digit past N on an element known below N.  Then one line
+decisions (`is_zero`, `valuation`, `diff_valuation`) that returned, and
+the least h - N' over the elements written at a precision N' (a
+certificate writes at its field's publication precision), h being the
+knowledge horizon the element or the compared pair carries; a negative n
+would be a decision or a published digit past the horizon.  Then one line
 `<workload> reports <count> <sha256>` over its report records only, then
 one line `<workload> <count> <sha256>` over all its records; last, the
 total record count and the sha256 over all the records, each followed by
@@ -68,26 +69,29 @@ def count_calls():
 
 @contextlib.contextmanager
 def horizon_ledger():
-    """Wrap `LocalElement.to_json` and the decisions on LocalElements from
-    outside while the block runs; yields a one-item list holding the least
-    h - N seen (math.inf when none was)."""
+    """Wrap `LocalElement._json_at` (which `to_json` calls) and the
+    decisions on LocalElements from outside while the block runs; yields a
+    one-item list holding the least h - N seen, N being the precision
+    written at for `_json_at` (math.inf when none was)."""
     low = [math.inf]
     cls = localring.LocalElement
     saved = {name: cls.__dict__[name]
-             for name in ("to_json", "is_zero", "valuation", "diff_valuation")}
+             for name in ("_json_at", "is_zero", "valuation", "diff_valuation")}
 
-    def wrap(method, pair):
+    def wrap(method, name):
         def watched(self, *args):
             out = method(self, *args)
-            h = self.h
-            if pair:
+            h, N = self.h, self.field.N
+            if name == "diff_valuation":
                 h = min(h, localring._coerce(self.field, args[0]).h)
-            low[0] = min(low[0], h - self.field.N)
+            elif name == "_json_at":
+                N = args[0]
+            low[0] = min(low[0], h - N)
             return out
         return watched
 
     for name, method in saved.items():
-        setattr(cls, name, wrap(method, name == "diff_valuation"))
+        setattr(cls, name, wrap(method, name))
     try:
         yield low
     finally:

@@ -4,12 +4,13 @@ import hashlib
 import json
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from demuskin import deformation, linalg, paths
-from demuskin.localring import FieldDescriptor, make_field
+from demuskin.localring import FieldDescriptor, LocalElement, make_field
 from demuskin.linalg import Mat
 from demuskin.deformation import (
     DeformationParams,
@@ -33,6 +34,7 @@ from demuskin.paths import (
     verify_certificate,
 )
 from record_digest import horizon_ledger
+import workloads  # noqa: E402  (perfbench/, on the path record_digest sets)
 
 GRID = [
     (5, 5, 2, 2, 32, 4),
@@ -58,27 +60,32 @@ INERT_GRID = [
 # only together with a deliberate change of the certificate or report format.
 GOLDEN = {
     (5, 5, 2, 2, 32, 4): (
-        "f230abbf486613d1a63d7d1fd4850454fe78c3555407bccaa1f076b743e34639",
+        "4f2e636aaa4df67c30ed36d05b2dbd80c1f7221d957d8d7542c8b66b0e811c9b",
         "ec4202b3e6b8273b0035c5fac0fd9ef3b0e0c11d74bc15a37192667e8b6b5056"),
     (5, 5, 2, 3, 32, 4): (
-        "942cbc6efbbdc7a7ff09753c1ddbd710f6b9aba95cd451dd5dcd384ec1c701d6",
+        "da3d875d55f80239560a3baf94f8ca8353de13e504edd0c1cdd0b135354986fe",
         "334d526fc9ab2fc183b78a6dfbdd70325ef93d3814115cc81aa2fe7e90324b1a"),
     (3, 3, 2, 2, 32, 2): (
-        "d220824152833aa00cbccb6c147c2bf43d5bbfb40f1938bea6cee1705423839a",
+        "cb93b0e0c32ceb910adab6f34d546ba320eeade804ef54b3bc3f93a995920e05",
         "20ab0863bfc5826163d5aedfeaaa7a5d9a294c0f6b2b3e9cc14fc3afff46ffd4"),
     (5, 5, 2, 2, 1024, 4): (
-        "3fe6fecc869c3d2780d84f2496368535faf4eb50636bb1fd8205fe3f41396636",
+        "9e33fa4bbfc32efd27a23c474b09ce21f2b4f7c2b406fc39d0a02490664cb1da",
         "ec4202b3e6b8273b0035c5fac0fd9ef3b0e0c11d74bc15a37192667e8b6b5056"),
     (7, 7, 2, 4, 36, 6): (
-        "4e9048aa590bdf5a483d4ed2fd16141358d4806a7c232b955f9c9b9f08bc4886",
+        "1e5247dd35e8d37420cb00520017fcd81a69d33478bdac7ebef8c98ec149a694",
         "6cab89360e2270a58c5d07f00a4ec9c7a35bdcab3548a6abd28f0309c96ec867"),
     (7, 7, 2, 5, 36, 6): (
-        "4b6f42e76d4a7d92196860d2d5355cdb03e1ecc886eb1cdbcab35175de5129ff",
+        "d9736319e5be28b37137831e4aeb7ebc57380e699bd1655a168a8ab3a556a21b",
         "63bc16245b7bf7200d4f110a9f6fbd5ef75b0b7ca8b64fa42e4e91a14697bd90"),
     (7, 7, 2, 6, 36, 6): (
-        "d70dd8cf42e4e479068d7a49afa488c05408f0677e3fde7a05bf911258213f19",
+        "56f97cfd8b873bb1ff1f47f82906afa329d4bef7230097e19004ca632bc304f9",
         "2de7bee040da0424d2591cf5c215e1dd5266d501c221b9283403e52cd06e1759"),
 }
+
+
+# A field whose publication precision is its own N: e = 20 and tau = 60,
+# so the 4e floor keeps N' = N = 80.
+FLOOR_GRID = [(5, 25, 1, 2, 80, 20)]
 
 
 def grid_certificate(p, q, f0, n, N, d):
@@ -113,10 +120,50 @@ def test_certificate_and_report_match_golden_digest(point):
 def test_no_lift_digit_is_read_or_published(point):
     """The precision ledger of `record_digest.py` over building,
     publishing, parsing and verifying a grid certificate: every element
-    published and every decision taken is known at N, h - N >= 0."""
+    published is known at the precision N' it is written at, and every
+    decision taken at its field's N, h - N' >= 0 and h - N >= 0."""
     with horizon_ledger() as low:
         text = json.dumps(grid_certificate(*point).to_json())
         assert verify_certificate(PathCertificate.from_json(json.loads(text))).passed
+    assert 0 <= low[0] < math.inf
+
+
+@pytest.mark.parametrize("point", GRID + INERT_GRID + FLOOR_GRID)
+def test_parsed_certificate_gets_the_built_certificates_report(point):
+    """Verified in the publication field, a parsed certificate gets the
+    report bytes of the built one, verified in the builder's field."""
+    cert = grid_certificate(*point)
+    f = cert.start.params.field
+    back = PathCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert back.start.params.field is f.published()
+    if point in FLOOR_GRID:
+        assert f.published() is f
+    assert (json.dumps(verify_certificate(back).to_json())
+            == json.dumps(verify_certificate(cert).to_json()))
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_verifier_computes_in_the_publication_field(monkeypatch, point):
+    """Verifying a parsed certificate builds every element in the
+    publication field, below the builder's precision on every grid point,
+    none nonzero at a negative shift, and decides nothing and publishes
+    nothing past N'."""
+    text = json.dumps(grid_certificate(*point).to_json())
+    cert = PathCertificate.from_json(json.loads(text))
+    pub = cert.start.params.field
+    built = []
+    original = LocalElement.__init__
+
+    def watched(self, field, shift, digits, *args, **kwargs):
+        built.append((field, shift, any(digits)))
+        original(self, field, shift, digits, *args, **kwargs)
+
+    monkeypatch.setattr(LocalElement, "__init__", watched)
+    with horizon_ledger() as low:
+        assert verify_certificate(cert).passed
+    assert built and all(f is pub for f, _, _ in built)
+    assert all(shift >= 0 for _, shift, nonzero in built if nonzero)
+    assert pub.N < point[4]
     assert 0 <= low[0] < math.inf
 
 
@@ -178,10 +225,18 @@ def test_verifier_strips_no_digits(monkeypatch, n, spectrum):
 
 
 def test_parsed_certificate_shares_the_builders_field():
+    """A certificate is read into its builder's publication field, the
+    shared field of precision N' and the same tau, which writes itself
+    and which the building field keeps alive, so parsing builds none."""
     cert = grid_certificate(*GRID[0])
+    ref = weakref.ref(cert.start.params.field.published())
+    gc.collect()
+    pub = ref()
+    assert pub is not None and (pub.N, pub.tau) == (24, 24)
     back = PathCertificate.from_json(json.loads(json.dumps(cert.to_json())))
-    assert back.start.params.field is cert.start.params.field
-    assert back.end.params.field is cert.start.params.field
+    assert back.start.params.field is pub
+    assert back.end.params.field is pub
+    assert pub.published() is pub
 
 
 def test_parse_and_verify_leave_no_cyclic_garbage():
@@ -255,14 +310,33 @@ def certificate_elements(cert):
 
 @pytest.mark.parametrize("p,q,f0,n,N,d", GRID + INERT_GRID)
 def test_certificate_is_lossless_at_N(p, q, f0, n, N, d):
+    """Every parsed element, lifted back into the builder's field, agrees
+    with the built one mod pi^N', the certificate's N."""
     cert = grid_certificate(p, q, f0, n, N, d)
+    f = cert.start.params.field
     back = PathCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    Np = back.start.params.field.N
+    assert Np == f.published().N <= N
     assert back.label == cert.label
     assert [s.kind for s in back.segments] == [s.kind for s in cert.segments]
     built, parsed = list(certificate_elements(cert)), list(certificate_elements(back))
     assert len(parsed) == len(built)
     assert any(x.is_zero() for x in built)
-    assert all(x.diff_valuation(y) == math.inf for x, y in zip(built, parsed))
+    assert all(x.diff_valuation(f.element(y.shift, y.digits)) >= Np
+               for x, y in zip(built, parsed))
+
+
+def test_an_element_that_vanishes_at_N_prime_is_written_as_zero():
+    """On (5,5,2,32), N' = 24 and v(5) = e = 4: 5^6 and 5^7 are nonzero
+    at N but zero at N', so a certificate writes them as `0`, the form the
+    publication field reads; 5^5 is written with its digits."""
+    f = make_field(5, 5, 2, 32)
+    pub = f.published()
+    for k in (6, 7):
+        x = f.from_int(5 ** k)
+        assert not x.is_zero() and x._json_at(pub.N) == 0
+    blob = f.from_int(5 ** 5)._json_at(pub.N)
+    assert LocalElement.from_json(pub, blob) == pub.from_int(5 ** 5)
 
 
 def assert_certificate_closes(pt):
@@ -388,8 +462,11 @@ MALFORMED = {
     "point not congruent to I": lambda b: _set(b["start"][0][0], 1, b["start"][0][0][0]),
     "missing parameter": lambda b: b["params"].pop("tau"),
     "q = 2": lambda b: _set(b["params"], "q", 2),
-    "N below the minimum": lambda b: _set(b["params"], "N", 15),
-    "N not a multiple of e": lambda b: _set(b["params"], "N", 33),
+    "N below the minimum": lambda b: b["params"].update(N=15, tau=12),
+    "N not a multiple of e": lambda b: b["params"].update(N=33, tau=25),
+    "tau below ceil(3N/4)": lambda b: _set(b["params"], "tau", 17),
+    "tau above N": lambda b: _set(b["params"], "tau", 25),
+    "N above the publication precision": lambda b: _set(b["params"], "N", 32),
     "label outside [0, q)": lambda b: _set(b, "label", 5),
     "digit string not canonical": lambda b: _set(b["start"][0][0][0], 1,
                                                  "0" + b["start"][0][0][0][1]),
@@ -406,6 +483,39 @@ def test_malformed_input_fails_as_a_format_error(case):
     with pytest.raises(CertificateFormatError) as exc:
         PathCertificate.from_json(blob)
     assert exc.value.__cause__ is not None
+
+
+@pytest.mark.parametrize("kind, clause", [("perturbed_coeff", "b"), ("perturbed_g", "c")])
+def test_a_certificate_cannot_choose_its_own_threshold(kind, clause):
+    """A tampered `verify-tamper` certificate fails at its tau = 24; the
+    same text with any tau outside [ceil(3N/4), N] does not parse, so no
+    text lowers the threshold its clauses are decided at."""
+    wl = workloads.WORKLOADS["verify-tamper"]
+    params = DeformationParams(make_field(wl.p, wl.q, wl.f0, wl.N), d=wl.d, n=wl.n)
+    spec, seed = workloads.round_inputs(wl, 1, 0)[0]
+    pt = sample_point_on_V(params, seed=seed, eigenvalues=spec)
+    text = json.dumps(extend_to_canonical(connect_to_diagonal(pt)).to_json())
+    blob = json.loads(workloads.tampered_text(kind, PathCertificate.from_json(json.loads(text))))
+    assert (blob["params"]["N"], blob["params"]["tau"]) == (24, 24)
+    assert clause in verify_certificate(PathCertificate.from_json(blob)).failed_clauses()
+    for tau in (1, 0, -5, 17, 25):
+        blob["params"]["tau"] = tau
+        with pytest.raises(CertificateFormatError, match=r"outside \[ceil\(3N/4\), N\]"):
+            PathCertificate.from_json(blob)
+
+
+def test_N_must_be_the_publication_precision_of_tau():
+    """N = 32 with tau = 24 is the older format, written at N: its digits
+    are masked at 32 too, but the publication precision of tau = 24 is
+    24, so it is refused, and every parsed certificate writes its own
+    bytes back.  A field of low tau stays legal to build."""
+    for N in (28, 32):
+        blob = json.loads(grid_text())
+        blob["params"]["N"] = N
+        with pytest.raises(CertificateFormatError, match="above the publication precision 24"):
+            PathCertificate.from_json(blob)
+    low = make_field(5, 5, 2, 32, tau=3)
+    assert (low.tau, low.published().N, low.published().tau) == (3, 16, 3)
 
 
 # --- diagonal root-of-unity points: the input of the cited merges ---------------
