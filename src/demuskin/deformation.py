@@ -110,8 +110,8 @@ class DeformationPoint:
 
     __hash__ = None
 
-    def eq_at(self, other, threshold=None):
-        return all(a.eq_at(b, threshold) for a, b in zip(self.matrices, other.matrices))
+    def eq_at(self, other):
+        return all(a.eq_at(b) for a, b in zip(self.matrices, other.matrices))
 
 
 @dataclass(frozen=True)
@@ -195,19 +195,17 @@ def diagonal_point(params: DeformationParams, labels) -> DeformationPoint:
                             + [Mat.identity(f, params.n)] * (params.tuple_length - 1))
 
 
-def canonical_point(params: DeformationParams, label) -> DeformationPoint:
-    """The base point of a component: diag(zeta^label, 1, ..., 1) with
-    identity partners."""
-    if isinstance(label, ComponentLabel):
-        label = label.index
+def canonical_point(params: DeformationParams, label: int) -> DeformationPoint:
+    """The base point of component `label`: diag(zeta^label, 1, ..., 1)
+    with identity partners."""
     return diagonal_point(params, [label] + [0] * (params.n - 1))
 
 
-def is_in_V(pt: DeformationPoint, threshold=None) -> bool:
-    """True when all matrices past the second are the identity at threshold;
+def is_in_V(pt: DeformationPoint) -> bool:
+    """True when all matrices past the second are the identity at tau;
     there the relation collapses to M_2 M_1 M_2^-1 = M_1^(q+1)."""
     ident = Mat.identity(pt.params.field, pt.params.n)
-    return all(m.eq_at(ident, threshold) for m in pt.matrices[2:])
+    return all(m.eq_at(ident) for m in pt.matrices[2:])
 
 
 def conjugate_point(pt: DeformationPoint, g: Mat) -> DeformationPoint:
@@ -317,7 +315,7 @@ def detect_eigenvalues(m1: Mat) -> dict[int, int]:
     cur = charpoly(m1)
     out = {}
     for j, lam in enumerate(enumerate_mu_q(f)):
-        mult, cur = deflate(cur, lam, f.tau)
+        mult, cur = deflate(cur, lam)
         if mult:
             out[j] = mult
     return out

@@ -10,9 +10,9 @@ invertible at every point of a path in 1 + M_n(m), so its valuation is
 that of W - I, and no polynomial is inverted.  `mat_inv` is for
 LocalElement entries.
 
-Everything here is threshold-aware: rank, kernels and eigenspace stages
-refuse to guess when an elementary divisor lands in the ambiguity band
-[tau, N), and raise PrecisionExhaustedError instead.  Rank, kernel and
+Every rank, kernel and eigenspace stage is decided at the field's tau,
+read off its entries: none guesses when an elementary divisor lands in
+[tau, N), and each raises PrecisionExhaustedError instead.  Rank, kernel and
 span membership share one elimination sweep, `_kernel_rectangular`: a rank
 is the column count minus the kernel dimension.  Determinants expand
 division-free (memoized Laplace over column subsets), so they never consume
@@ -83,13 +83,11 @@ class Mat:
             cols = tuple(zip(*other.rows))
             return Mat(f, [[_dot(f, [(x, y, False) for x, y in zip(r, c)]) for c in cols]
                            for r in self.rows])
-        if isinstance(other, (LocalElement, int)):
+        if isinstance(other, LocalElement):
             return self.scale(other)
         return NotImplemented
 
     def scale(self, x):
-        if isinstance(x, int):
-            x = self.field.from_int(x)
         return Mat(self.field, [[e * x for e in r] for r in self.rows])
 
     def __add__(self, other):
@@ -129,9 +127,8 @@ class Mat:
         return min(a.diff_valuation(b)
                    for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
-    def eq_at(self, other, threshold=None):
-        t = threshold if threshold is not None else self.field.tau
-        return all(a.diff_valuation(b) >= t
+    def eq_at(self, other):
+        return all(a.diff_valuation(b) >= self.field.tau
                    for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
     def is_identity(self):
@@ -355,11 +352,11 @@ def horner(coeffs, x):
     return acc
 
 
-def deflate(coeffs, lam, tau):
+def deflate(coeffs, lam):
     """(multiplicity, quotient): divide the coefficient list by (x - lam)
     for as long as its value at lam vanishes at tau."""
     mult = 0
-    while len(coeffs) > 1 and horner(coeffs, lam).valuation() >= tau:
+    while len(coeffs) > 1 and horner(coeffs, lam).valuation() >= lam.field.tau:
         coeffs = synthetic_divide(coeffs, lam)
         mult += 1
     return mult, coeffs
@@ -384,21 +381,19 @@ def _classify_remaining(entries, tau, N):
                 f"threshold {tau}; raise the working precision")
 
 
-def rank_at_threshold(M, tau=None) -> int:
+def rank_at_threshold(M: Mat) -> int:
     """Number of elementary divisors with valuation below the threshold."""
-    if isinstance(M, Mat):
-        return M.n - len(_kernel_rectangular(M.rows, M.field, tau))
-    raise TypeError("rank_at_threshold expects a Mat")
+    return M.n - len(_kernel_rectangular(M.rows))
 
 
-def rank_of_columns(cols, field, tau=None) -> int:
+def rank_of_columns(cols) -> int:
     """Rank at threshold of the matrix whose columns are `cols`."""
     if not cols:
         return 0
-    return len(cols) - len(_kernel_rectangular(list(zip(*cols)), field, tau))
+    return len(cols) - len(_kernel_rectangular(list(zip(*cols))))
 
 
-def kernel_basis_at_threshold(M: Mat, tau=None):
+def kernel_basis_at_threshold(M: Mat):
     """Basis of the right kernel at threshold, as unimodular column vectors.
 
     Column reduction with global minimal-valuation pivots, mirrored on an
@@ -406,16 +401,16 @@ def kernel_basis_at_threshold(M: Mat, tau=None):
     kernel.  The mirror stays in GL_n(O_F), so each basis vector has a unit
     coordinate.
     """
-    return _kernel_rectangular(M.rows, M.field, tau)
+    return _kernel_rectangular(M.rows)
 
 
-def solve_in_span(cols, target, field, tau=None):
+def solve_in_span(cols, target):
     """Coefficients expressing target in the span of the given columns, or
     raise if it is not there at threshold.  Found from a kernel vector of
     the augmented matrix whose last coordinate is a unit."""
     n = len(target)
     aug_rows = [[cols[k][i] for k in range(len(cols))] + [target[i]] for i in range(n)]
-    kern = _kernel_rectangular(aug_rows, field, tau)
+    kern = _kernel_rectangular(aug_rows)
     for vec in kern:
         if vec[-1].valuation() == 0:
             s = -vec[-1].inv()
@@ -423,12 +418,11 @@ def solve_in_span(cols, target, field, tau=None):
     raise PrecisionExhaustedError("target vector not in span at threshold")
 
 
-def _kernel_rectangular(rows, field, tau=None):
+def _kernel_rectangular(rows):
     """Mirror columns of the columns left unreduced by global
     minimal-valuation pivoting.  Each pivot is the next elementary divisor
     below tau, so the column count minus the kernel dimension is the rank."""
-    f = field
-    tau = tau if tau is not None else f.tau
+    f = rows[0][0].field
     nr = len(rows)
     nc = len(rows[0])
     work = [list(r) for r in rows]
@@ -442,7 +436,7 @@ def _kernel_rectangular(rows, field, tau=None):
                 v = work[r][c].valuation()
                 if v != math.inf and (best is None or v < best[0]):
                     best = (v, r, c)
-        if best is None or best[0] >= tau:
+        if best is None or best[0] >= f.tau:
             break
         _, pr, pc = best
         targets = [c for c in act_c if c != pc and not work[pr][c].is_zero()]
@@ -456,7 +450,7 @@ def _kernel_rectangular(rows, field, tau=None):
                     mirror[i][c] = mirror[i][c] - m * mirror[i][pc]
         act_r.remove(pr)
         act_c.remove(pc)
-    _classify_remaining([work[r][c] for r in act_r for c in act_c], tau, f.N)
+    _classify_remaining([work[r][c] for r in act_r for c in act_c], f.tau, f.N)
     return [tuple(mirror[i][c] for i in range(nc)) for c in act_c]
 
 
@@ -468,10 +462,9 @@ class Filtration:
     first shape[0] vectors span stage 1, the first shape[1] span stage 2, and
     so on.  Vectors are unimodular columns."""
 
-    __slots__ = ("field", "vectors", "shape")
+    __slots__ = ("vectors", "shape")
 
-    def __init__(self, field, vectors, shape):
-        self.field = field
+    def __init__(self, vectors, shape):
         self.vectors = tuple(tuple(v) for v in vectors)
         self.shape = tuple(shape)
         for v in self.vectors:
@@ -499,29 +492,29 @@ def generalized_eigenspace(M: Mat, lam: LocalElement) -> Filtration:
         kern = kernel_basis_at_threshold(Apow)
         if len(kern) == len(vectors):
             break
-        added = _extend_basis(vectors, kern, f)
+        added = _extend_basis(vectors, kern)
         vectors = vectors + added
         shape.append(len(vectors))
         if len(vectors) == n:
             break
         Apow = Apow * A
     if shape:
-        mult, _ = deflate(charpoly(M), lam, f.tau)
+        mult, _ = deflate(charpoly(M), lam)
         if mult != shape[-1]:
             raise PrecisionExhaustedError(
                 f"eigenspace dimension {shape[-1]} disagrees with characteristic "
                 f"multiplicity {mult}")
-    return Filtration(f, vectors, shape)
+    return Filtration(vectors, shape)
 
 
-def _extend_basis(current, candidates, field):
+def _extend_basis(current, candidates):
     added = []
     target = len(candidates)
     cur = list(current)
     for v in candidates:
         if len(cur) >= target:
             break
-        if rank_of_columns(cur + [v], field) > len(cur):
+        if rank_of_columns(cur + [v]) > len(cur):
             cur.append(v)
             added.append(v)
     if len(cur) != target:
@@ -582,8 +575,7 @@ def iwasawa_decompose(E: Mat) -> Mat:
     return E0
 
 
-def is_upper_triangular(M: Mat, threshold=None) -> bool:
-    t = threshold if threshold is not None else M.field.tau
-    return all(M.rows[i][j].valuation() >= t
+def is_upper_triangular(M: Mat) -> bool:
+    return all(M.rows[i][j].valuation() >= M.field.tau
                for i in range(M.n) for j in range(i))
 

@@ -151,23 +151,16 @@ def _polpow_mod(a, n, mod_coeffs, p):
 
 
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin's test for the monic f of degree deg = len(coeffs) over F_p:
-    x^(p^deg) = x mod f, and gcd(x^(p^(deg/l)) - x, f) = 1 for every prime
-    l dividing deg."""
-    deg = len(coeffs)
-
-    def frobenius_minus_x(k):
-        acc = [0, 1]
-        for _ in range(k):
-            acc = _polpow_mod(acc, p, coeffs, p)
-        acc[1] = (acc[1] - 1) % p
-        return acc
-
-    if any(frobenius_minus_x(deg)):
-        return False
+    """Ben-Or's test for the monic f of degree deg = len(coeffs) over F_p:
+    gcd(x^(p^k) - x, f) = 1 for every k <= deg/2, so f has no factor of
+    degree at most deg/2."""
     monic = list(coeffs) + [1]
-    return all(_polgcd_is_one(frobenius_minus_x(deg // ell), monic, p)
-               for ell in range(2, deg + 1) if deg % ell == 0 and is_prime(ell))
+    acc = [0, 1]
+    for _ in range(len(coeffs) // 2):
+        acc = _polpow_mod(acc, p, coeffs, p)
+        if not _polgcd_is_one([acc[0], acc[1] - 1, *acc[2:]], monic, p):
+            return False
+    return True
 
 
 def _polgcd_is_one(a, b, p):
@@ -349,7 +342,7 @@ class FieldDescriptor:
     on (7,1,2,256)).  Newton steps and strips keep the 2-D kernel.
 
     make_field returns one shared descriptor per parameter set, so fields
-    compare by identity first.
+    compare by identity.
     """
 
     __slots__ = ("p", "q", "f0", "e", "N", "G", "Nint", "M", "pM", "tau", "unram",
@@ -364,7 +357,7 @@ class FieldDescriptor:
         self.p = p
         self.q = q
         self.f0 = f0
-        e = self.e = (q - q // p) if q >= 3 else 1
+        e = self.e = _ramification(p, q)
         self.N = N
         self.G = e * -(-16 // e)
         self.Nint = N + self.G
@@ -373,7 +366,7 @@ class FieldDescriptor:
         # p^k for every k up to Nint/e, the moduli of `_mask_digits`
         self._ppow = tuple(p ** k for k in range(self.Nint // e + 1))
         self.tau = tau
-        self._pubN = min(N, max(e * -(-tau // e), 4 * e))
+        self._pubN = _publication_precision(e, N, tau)
         self._pub = None
         self.unram = find_irreducible_poly(p, f0)
         if q >= 3:
@@ -407,17 +400,6 @@ class FieldDescriptor:
         slot = pM * -(-(DOT_TERMS * e * f0 * (pM - 1) ** 2) // pM)
         self._offsets = tuple(sum(slot << (8 * bb * k) for k in range((2 * e - 1 + b) * self._stride))
                               for b in range(e))
-
-    # -- equality / hashing on the defining data --------------------------
-
-    def _key(self):
-        return (self.p, self.q, self.f0, self.N, self.tau)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldDescriptor) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return (f"FieldDescriptor(p={self.p}, q={self.q}, f0={self.f0}, "
@@ -1176,7 +1158,7 @@ class LocalElement:
             other = _coerce(self.field, other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             return False
         return self.diff_valuation(other) == math.inf
 
@@ -1210,32 +1192,22 @@ class LocalElement:
             _decide(f, v, h)
         return v if v < f.N else math.inf
 
-    def eq_at(self, other, threshold=None) -> bool:
-        """Equality at valuation threshold (default: the field's tau)."""
-        t = threshold if threshold is not None else self.field.tau
-        return self.diff_valuation(other) >= t
+    def eq_at(self, other) -> bool:
+        """Equality at the field's threshold tau."""
+        return self.diff_valuation(other) >= self.field.tau
 
     def __repr__(self):
         if self._vanishes():
             return f"LocalElement(0 at precision, h={self.h})"
         return f"LocalElement(shift={self.shift}, digits={self.digits}, h={self.h})"
 
-    def to_json(self):
-        """`0` for an element that is zero at N; otherwise
-        `[shift, "d_0", ..., "d_(e*f0-1)"]`, the digits published at
-        absolute precision N, i.e. the unit part masked at relative depth
-        N - shift, which is what equality compares.  For a positive shift
-        nothing of the guard band leaves the process.  Raises
-        PrecisionExhaustedError when the element is known below N only, so
+    def to_json(self, n):
+        """`0` when the element is zero at n <= N, otherwise
+        `[shift, "d_0", ..., "d_(e*f0-1)"]`, its unit part masked at
+        relative depth n - shift: how the field of precision n writes it.
+        The codec writes at `FieldDescriptor.published` precision.  Raises
+        PrecisionExhaustedError when the element is known below n only, so
         no digit past its horizon is published."""
-        return self._json_at(self.field.N)
-
-    def _json_at(self, n):
-        """`to_json` at absolute precision n <= N: `0` when the element is
-        zero at n, otherwise its shift and its digits masked at relative
-        depth n - shift, which is how the field of precision n writes this
-        element reduced mod pi^n.  The certificate codec writes at the
-        field's publication precision (`FieldDescriptor.published`)."""
         if self.h < n:
             raise PrecisionExhaustedError(
                 f"element known mod pi^{self.h} only, below the published precision {n}")
@@ -1246,7 +1218,7 @@ class LocalElement:
 
     @staticmethod
     def from_json(field, obj):
-        """The element `to_json` writes as obj; ValueError when obj is not
+        """The element `to_json(N)` writes as obj; ValueError when obj is not
         what `to_json` writes for some element: `0`, or a shift of at least
         -G (so the element is known at N) with e*f0 digit strings, each the
         decimal `str` of an int already masked at relative depth N - shift,
@@ -1294,7 +1266,7 @@ def _product_horizon(x, y, shift):
 
 def _coerce(field, x):
     if isinstance(x, LocalElement):
-        if x.field is not field and x.field != field:
+        if x.field is not field:
             raise ValueError("elements from different fields")
         return x
     if isinstance(x, int):
@@ -1347,6 +1319,26 @@ def make_field(p: int, q: int, f0: int = 1, N: int = 32, tau=None) -> FieldDescr
     rounded up, tau resolved): while one such field is alive, every call
     with the same parameters returns that object, caches included.
     """
+    key = _field_key(p, q, f0, N, tau)
+    field = _FIELDS.get(key)
+    if field is None:
+        field = _FIELDS[key] = FieldDescriptor(*key)
+    return field
+
+
+def _ramification(p, q):
+    """The ramification index e: phi(q), or 1 for q = 1."""
+    return (q - q // p) if q >= 3 else 1
+
+
+def _publication_precision(e, N, tau):
+    """N' = min(N, max(e*ceil(tau/e), 4e)); see `FieldDescriptor.published`."""
+    return min(N, max(e * -(-tau // e), 4 * e))
+
+
+def _field_key(p, q, f0, N, tau):
+    """make_field's normalized parameters (p, q, f0, N, tau), checked but
+    with no field built; UnsupportedParametersError outside the range."""
     if not is_prime(p):
         raise UnsupportedParametersError(f"p = {p} is not prime")
     if q != 1:
@@ -1360,15 +1352,11 @@ def make_field(p: int, q: int, f0: int = 1, N: int = 32, tau=None) -> FieldDescr
             raise UnsupportedParametersError(f"q = {q} is not a power of p = {p} with q >= 3")
     if f0 < 1:
         raise UnsupportedParametersError("f0 must be at least 1")
-    e = (q - q // p) if q >= 3 else 1
-    if N < 4 * max(1, e):
-        raise UnsupportedParametersError(f"precision N = {N} below the minimum {4 * max(1, e)}")
+    e = _ramification(p, q)
+    if N < 4 * e:
+        raise UnsupportedParametersError(f"precision N = {N} below the minimum {4 * e}")
     N = e * -(-N // e)
-    key = (p, q, f0, N, tau if tau is not None else -(-3 * N // 4))
-    field = _FIELDS.get(key)
-    if field is None:
-        field = _FIELDS[key] = FieldDescriptor(*key)
-    return field
+    return (p, q, f0, N, tau if tau is not None else -(-3 * N // 4))
 
 
 def enumerate_mu_q(field: FieldDescriptor) -> tuple[LocalElement, ...]:

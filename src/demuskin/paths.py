@@ -57,9 +57,11 @@ the verifier computes in O_F/pi^(N' + G) with no conversion.
 
 The parser decodes by nesting depth (a row may begin with `0`) and fails
 only with `CertificateFormatError`.  It accepts only what `to_json`
-writes: ceil(3N/4) <= tau <= N, so that a text cannot choose the
-threshold its clauses are decided at; N a multiple of e and the
-publication precision of its tau; a label in [0, q); and elements as
+writes: each object with exactly the keys above, in that order;
+ceil(3N/4) <= tau <= N, so that a text cannot choose the threshold its
+clauses are decided at; N a multiple of e and the publication precision
+of its tau, both checked before a field is built; a label in [0, q);
+polynomials of at least one coefficient; and elements as
 `LocalElement.from_json` reads them (canonical digit strings, masked at
 N - shift, a unit digit vector, known at N).  So a parsed certificate
 writes its input bytes back.
@@ -74,6 +76,9 @@ from .localring import (
     LocalElement,
     LocalFieldError,
     SquareRootError,
+    _field_key,
+    _publication_precision,
+    _ramification,
     enumerate_mu_q,
     hensel_sqrt,
     make_field,
@@ -192,7 +197,7 @@ class PathCertificate:
 
 
 def _mat_json(rows, N):
-    return [[x._json_at(N) for x in r] for r in rows]
+    return [[x.to_json(N) for x in r] for r in rows]
 
 
 def _point_json(pt, N):
@@ -204,28 +209,39 @@ def _segment_json(seg, N):
         return {"kind": seg.kind, "g": _mat_json(seg.g.rows, N)}
     if isinstance(seg, PolynomialPath):
         return {"kind": seg.kind,
-                "slots": [[[[c._json_at(N) for c in p.coeffs] for p in row] for row in slot]
+                "slots": [[[[c.to_json(N) for c in p.coeffs] for p in row] for row in slot]
                           for slot in seg.slots]}
     return {"kind": seg.kind, "statement_id": seg.statement_id, "source": seg.source,
             "start": _point_json(seg.start, N), "end": _point_json(seg.end, N)}
 
 
+def _keys(obj, *keys):
+    """The values of a JSON object at `keys`, which must be its keys in
+    this order, as `to_json` writes them."""
+    if type(obj) is not dict or list(obj) != list(keys):
+        raise ValueError(f"expected an object with the keys {keys}")
+    return [obj[k] for k in keys]
+
+
 def _read_certificate(blob):
-    """The certificate of a `to_json` blob, decoded by nesting depth."""
-    ints = [blob["params"][k] for k in ("p", "q", "f0", "N", "tau", "d", "n")]
-    ints.append(blob["label"])
+    """The certificate of a `to_json` blob, decoded by nesting depth.  The
+    parameters are checked before any field is built."""
+    _, label, start, end, segments = _keys(blob, "params", "label", "start", "end", "segments")
+    ints = _keys(blob["params"], "p", "q", "f0", "N", "tau", "d", "n") + [label]
     if any(type(x) is not int for x in ints):
         raise TypeError("parameters and label must be integers")
     p, q, f0, N, tau, d, n, label = ints
     if not -(-3 * N // 4) <= tau <= N:
         raise ValueError(f"tau = {tau} outside [ceil(3N/4), N] = [{-(-3 * N // 4)}, {N}]")
-    params = DeformationParams(make_field(p, q, f0, N, tau), d, n)
+    key = _field_key(p, q, f0, N, tau)
+    e = _ramification(p, q)
+    if key[3] != N:
+        raise ValueError(f"N = {N} is not a multiple of e = {e}")
+    pub = _publication_precision(e, N, tau)
+    if pub != N:
+        raise ValueError(f"N = {N} above the publication precision {pub} of tau = {tau}")
+    params = DeformationParams(make_field(*key), d, n)
     f = params.field
-    if f.N != N:
-        raise ValueError(f"N = {N} is not a multiple of e = {f.e}")
-    if f.published() is not f:
-        raise ValueError(f"N = {N} above the publication precision {f.published().N} "
-                         f"of tau = {tau}")
     if not 0 <= label < max(q, 1):
         raise ValueError(f"label {label} outside [0, {max(q, 1)})")
 
@@ -239,6 +255,8 @@ def _read_certificate(blob):
         return LocalElement.from_json(f, x)
 
     def poly(coeffs):
+        if not coeffs:
+            raise ValueError("a polynomial has at least one coefficient")
         return Poly(f, [element(c) for c in coeffs])
 
     def point(mats):
@@ -247,16 +265,18 @@ def _read_certificate(blob):
     def segment(s):
         kind = s["kind"]
         if kind == ConjugationMove.kind:
-            return ConjugationMove(Mat(f, square(s["g"], element)))
+            _, g = _keys(s, "kind", "g")
+            return ConjugationMove(Mat(f, square(g, element)))
         if kind == PolynomialPath.kind:
-            return PolynomialPath(tuple(square(slot, poly) for slot in s["slots"]))
+            _, slots = _keys(s, "kind", "slots")
+            return PolynomialPath(tuple(square(slot, poly) for slot in slots))
         if kind == CitedEquivalence.kind:
-            return CitedEquivalence(s["statement_id"], s["source"],
-                                    point(s["start"]), point(s["end"]))
+            _, sid, source, a, b = _keys(s, "kind", "statement_id", "source", "start", "end")
+            return CitedEquivalence(sid, source, point(a), point(b))
         raise ValueError(f"unknown segment kind {kind!r}")
 
-    return PathCertificate(point(blob["start"]), tuple(segment(s) for s in blob["segments"]),
-                           point(blob["end"]), label_for_index(f, label))
+    return PathCertificate(point(start), tuple(segment(s) for s in segments),
+                           point(end), label_for_index(f, label))
 
 
 # --- construction ---------------------------------------------------------------
@@ -294,7 +314,7 @@ def connect_to_diagonal(pt: DeformationPoint) -> PathCertificate:
         fil = generalized_eigenspace(m1, lam)
         if fil.dimension() != mults[k]:
             raise PathConstructionError("eigenspace dimension mismatch")
-        basis.extend(_stage_basis_triangularizing(m2, fil, f))
+        basis.extend(_stage_basis_triangularizing(m2, fil))
     pmat = Mat(f, list(zip(*basis)))
     emat = mat_inv(pmat)
     e0 = iwasawa_decompose(emat)
@@ -314,9 +334,10 @@ def connect_to_diagonal(pt: DeformationPoint) -> PathCertificate:
     return PathCertificate(pt, (seg1, seg2, seg3), end, label)
 
 
-def _stage_basis_triangularizing(m2: Mat, fil, f):
+def _stage_basis_triangularizing(m2: Mat, fil):
     """Stage-respecting basis of one generalized eigenspace on which the
     partner matrix acts upper-triangularly."""
+    f = m2.field
     out = []
     prev_count = 0
     for dim in fil.shape:
@@ -327,13 +348,10 @@ def _stage_basis_triangularizing(m2: Mat, fil, f):
         else:
             span = out + stage_vecs
             m2u = [_apply(m2, u) for u in stage_vecs]
-            coords = [solve_in_span(span, v, f) for v in m2u]
+            coords = [solve_in_span(span, v) for v in m2u]
             induced = Mat(f, [[coords[k][len(out) + l] for k in range(w)]
                               for l in range(w)])
-            combo = _triangularize_small(induced, f)
-            for col in combo:
-                vec = _combine(stage_vecs, col, f)
-                out.append(vec)
+            out.extend(_combine(stage_vecs, col) for col in _triangularize_small(induced))
         prev_count = dim
     return out
 
@@ -344,7 +362,8 @@ def _apply(m: Mat, v):
                  for i in range(m.n))
 
 
-def _combine(vectors, coeffs, f):
+def _combine(vectors, coeffs):
+    f = vectors[0][0].field
     n = len(vectors[0])
     vec = [f.zero()] * n
     for c, v in zip(coeffs, vectors):
@@ -360,12 +379,13 @@ def _combine(vectors, coeffs, f):
     return tuple(vec)
 
 
-def _triangularize_small(t: Mat, f):
+def _triangularize_small(t: Mat):
     """Columns of an invertible w x w matrix Q with Q^-1 T Q upper
     triangular.  Handles the single-eigenvalue case at any size (trace
     extraction plus the nilpotent kernel flag) and the split two-by-two
     case via a Hensel square root of the discriminant; anything else is out
     of supported range."""
+    f = t.field
     w = t.n
     tr = f.zero()
     for i in range(w):
@@ -396,7 +416,7 @@ def _triangularize_small(t: Mat, f):
         v = kern[0]
         for k in range(2):
             e = tuple(f.one() if i == k else f.zero() for i in range(2))
-            if rank_of_columns([v, e], f) == 2:
+            if rank_of_columns([v, e]) == 2:
                 return [v, e]
         raise PathConstructionError("could not complete eigenvector to a basis")
     raise PathConstructionError(
@@ -634,7 +654,7 @@ def _verify_polynomial(rep, idx, seg, cur, cur_det, params):
     d1 = det(slots[0])
     tail = min((c.valuation() for c in d1.coeffs[1:]), default=math.inf)
     rep.add(idx, "d", tail >= tau, "det(M_1) degree zero in t")
-    rep.add(idx, "d", d1.coeff(0).eq_at(cur_det, tau),
+    rep.add(idx, "d", d1.coeff(0).eq_at(cur_det),
             "det(M_1) value preserved")
     end = seg.eval(params, f.zero())
     return end, det(end.matrices[0])

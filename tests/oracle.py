@@ -127,4 +127,4 @@ def assert_known_at_N(*results):
     """No loss: every result is known at N, so nothing it is asked raises."""
     for r in results:
         assert r.h >= r.field.N
-        r.valuation(), r.is_zero(), r.to_json()
+        r.valuation(), r.is_zero(), r.to_json(r.field.N)

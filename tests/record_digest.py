@@ -69,14 +69,14 @@ def count_calls():
 
 @contextlib.contextmanager
 def horizon_ledger():
-    """Wrap `LocalElement._json_at` (which `to_json` calls) and the
-    decisions on LocalElements from outside while the block runs; yields a
-    one-item list holding the least h - N seen, N being the precision
-    written at for `_json_at` (math.inf when none was)."""
+    """Wrap `LocalElement.to_json` and the decisions on LocalElements from
+    outside while the block runs; yields a one-item list holding the least
+    h - N seen, N being the precision written at for `to_json` (math.inf
+    when none was)."""
     low = [math.inf]
     cls = localring.LocalElement
     saved = {name: cls.__dict__[name]
-             for name in ("_json_at", "is_zero", "valuation", "diff_valuation")}
+             for name in ("to_json", "is_zero", "valuation", "diff_valuation")}
 
     def wrap(method, name):
         def watched(self, *args):
@@ -84,7 +84,7 @@ def horizon_ledger():
             h, N = self.h, self.field.N
             if name == "diff_valuation":
                 h = min(h, localring._coerce(self.field, args[0]).h)
-            elif name == "_json_at":
+            elif name == "to_json":
                 N = args[0]
             low[0] = min(low[0], h - N)
             return out

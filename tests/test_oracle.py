@@ -117,11 +117,12 @@ class TestAgainstOracle:
     def test_diff_valuation(self, f, data):
         """diff_valuation is (x - y).valuation() and the model's valuation
         of x - y (math.inf from N on), for elements and entry by entry for
-        a 2x2 Mat and a Poly; == and, on elements and Mats, eq_at agree
-        with it.  On elements all of them raise PrecisionExhaustedError
-        together, where the answer does not lie below the horizon; on a Mat
-        or Poly each either agrees or raises, and may raise only where some
-        entry pair's answer does not lie below its horizon h < N."""
+        a 2x2 Mat and a Poly; == and, on elements and Mats, eq_at (at tau,
+        the one threshold) agree with it.  On elements all of them raise
+        PrecisionExhaustedError together, where the answer does not lie
+        below the horizon; on a Mat or Poly each either agrees or raises,
+        and may raise only where some entry pair's answer does not lie
+        below its horizon h < N."""
         c = f.N
         model = DIFF_MODELS.setdefault(f, Oracle(f, 2 * f.N))
 
@@ -131,8 +132,7 @@ class TestAgainstOracle:
 
         def check(a, b, got, diff, expect):
             assert got == diff == expect
-            for t in (0, f.tau, f.N, data.draw(st.integers(-f.N, f.N + 3))):
-                assert a.eq_at(b, t) == (got >= t)
+            assert a.eq_at(b) == (got >= f.tau)
             assert (a == b) == (got == math.inf)
 
         x, y = data.draw(near_pair(f))
@@ -159,8 +159,7 @@ class TestAgainstOracle:
             assert ask(lambda: a.diff_valuation(b)) in (None, expect)
             assert ask(diff) in (None, expect)
             if not isinstance(a, Poly):
-                for t in (0, f.tau, f.N, data.draw(st.integers(-f.N, f.N + 3))):
-                    assert ask(lambda: a.eq_at(b, t)) in (None, expect >= t)
+                assert ask(lambda: a.eq_at(b)) in (None, expect >= f.tau)
             assert ask(lambda: a == b) in (None, expect == math.inf)
 
         pairs = [data.draw(near_pair(f)) for _ in range(4)]

@@ -3,6 +3,7 @@
 import ast
 import collections
 import importlib
+import inspect
 import pathlib
 import re
 import sys
@@ -98,3 +99,37 @@ def test_every_src_definition_has_a_caller():
     uncalled = [d.name for d in definitions
                 if total[d.name] == collections.Counter(mentions(d))[d.name]]
     assert uncalled == [], f"defined in src/demuskin and never called: {uncalled}"
+
+
+def public_signatures(module):
+    """(name, signature) of each public function and class of a module, a
+    class by its own constructor if it defines one, and of each public
+    method of those classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, inspect.signature(obj)
+        elif inspect.isclass(obj):
+            if inspect.isfunction(vars(obj).get("__init__")):
+                yield name, inspect.signature(obj)
+            for attr in vars(obj):
+                if not attr.startswith("_") and inspect.isfunction(getattr(obj, attr)):
+                    yield f"{name}.{attr}", inspect.signature(getattr(obj, attr))
+
+
+def test_decisions_take_their_threshold_and_field_from_their_inputs():
+    """Every decision is taken at tau, which the inputs' field carries, and
+    linear algebra reads its field off the entries.  So no public
+    signature takes a tau or threshold but make_field's (and that of
+    FieldDescriptor, which only make_field builds), and rank_of_columns
+    and solve_in_span take no field."""
+    from demuskin import deformation, linalg, localring, paths
+    sigs = dict(sig for module in (localring, linalg, deformation, paths)
+                for sig in public_signatures(module))
+    assert {"make_field", "LocalElement.eq_at", "Mat.eq_at", "deflate"} <= sigs.keys()
+    takes = sorted(name for name, sig in sigs.items()
+                   if {"tau", "threshold"} & sig.parameters.keys())
+    assert takes == ["FieldDescriptor", "make_field"]
+    for name in ("rank_of_columns", "solve_in_span"):
+        assert not {"field", "f"} & sigs[name].parameters.keys(), name

@@ -334,8 +334,8 @@ def test_an_element_that_vanishes_at_N_prime_is_written_as_zero():
     pub = f.published()
     for k in (6, 7):
         x = f.from_int(5 ** k)
-        assert not x.is_zero() and x._json_at(pub.N) == 0
-    blob = f.from_int(5 ** 5)._json_at(pub.N)
+        assert not x.is_zero() and x.to_json(pub.N) == 0
+    blob = f.from_int(5 ** 5).to_json(pub.N)
     assert LocalElement.from_json(pub, blob) == pub.from_int(5 ** 5)
 
 
@@ -473,6 +473,11 @@ MALFORMED = {
     "digit not masked": lambda b: _set(b["start"][0][0][0], 1,
                                        str(int(b["start"][0][0][0][1]) + 5 ** 8)),
     "digit vector not a unit": lambda b: _set(b["start"][0][0][1], slice(1, 3), ["5", "5"]),
+    "unknown key": lambda b: _set(b, "comment", "x"),
+    "unknown parameter": lambda b: _set(b["params"], "G", 16),
+    "unknown segment key": lambda b: _set(b["segments"][0], "note", 1),
+    "keys out of order": lambda b: _set(b, "label", b.pop("label")),
+    "empty polynomial": lambda b: _set(b["segments"][1]["slots"][0][1], 0, []),
 }
 
 
@@ -516,6 +521,28 @@ def test_N_must_be_the_publication_precision_of_tau():
             PathCertificate.from_json(blob)
     low = make_field(5, 5, 2, 32, tau=3)
     assert (low.tau, low.published().N, low.published().tau) == (3, 16, 3)
+
+
+@pytest.mark.parametrize("N, tau, match", [
+    (32768, 24576, "above the publication precision 24576"),
+    (32769, 24577, "not a multiple of e = 4"),
+    (32768, 1, r"outside \[ceil\(3N/4\), N\]")])
+def test_parameters_are_refused_before_a_field_is_built(monkeypatch, N, tau, match):
+    """A text of 131 bytes can name any N: it is refused on its parameters
+    alone, and parsing it builds no field."""
+    built = []
+    original = FieldDescriptor.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(FieldDescriptor, "__init__", counted)
+    blob = {"params": {"p": 5, "q": 5, "f0": 2, "N": N, "tau": tau, "d": 4, "n": 2},
+            "label": 0, "start": [], "end": [], "segments": []}
+    with pytest.raises(CertificateFormatError, match=match):
+        PathCertificate.from_json(blob)
+    assert built == []
 
 
 # --- diagonal root-of-unity points: the input of the cited merges ---------------
